@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the substrate data structures:
-// page-table walks, cache lookups, TLB, pre-execute cache, prefetcher
-// collection, DMA posting, and trace generation throughput.
+// page-table walks, cache lookups, TLB, pre-execute cache, pre-execute
+// episodes, prefetcher collection, DMA posting, and trace generation
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <vector>
 
+#include "cpu/preexec_engine.h"
+#include "cpu/register_file.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/preexec_cache.h"
 #include "mem/tlb.h"
 #include "storage/dma.h"
+#include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/rng.h"
 #include "vm/mm.h"
@@ -84,6 +88,32 @@ void BM_PreexecCacheStoreLoad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PreexecCacheStoreLoad);
+
+// One pre-execute episode per iteration over a fixed PageRank trace with
+// half its pages swapped out; items are records examined, so the reported
+// rate is per record.
+void BM_PreexecEpisode(benchmark::State& state) {
+  trace::GeneratorConfig cfg;
+  cfg.length_scale = 0.02;
+  const trace::Trace t = trace::generate(trace::WorkloadId::kPageRank, cfg);
+  const std::vector<its::Vpn> pages = t.touched_pages();
+  vm::MemoryDescriptor mm(1, pages);
+  for (std::size_t i = 0; i < pages.size(); i += 2) mm.pte(pages[i])->map(i);
+  mem::CacheHierarchy caches;
+  mem::PreexecCache px;
+  cpu::PreexecEngine engine({}, caches, px);
+  cpu::RegisterFile rf;
+  std::size_t fault = 0;
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    fault = (fault + 97) % t.size();
+    cpu::EpisodeResult ep = engine.run(t, fault, rf, mm, 20_us);
+    benchmark::DoNotOptimize(ep);
+    records += ep.records;
+  }
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_PreexecEpisode);
 
 void BM_VaPrefetcherCollect(benchmark::State& state) {
   auto fp = bench_footprint(8192);

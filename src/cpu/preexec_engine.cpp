@@ -21,10 +21,6 @@ PreexecEngine::PreexecEngine(const PreexecConfig& cfg, mem::CacheHierarchy& cach
                              mem::PreexecCache& px_cache)
     : cfg_(cfg), caches_(caches), px_(px_cache) {}
 
-void PreexecEngine::retire(const SbEntry& e) {
-  px_.store(e.addr, e.size, e.invalid);
-}
-
 void PreexecEngine::preexec_load(const Instr& in, RegisterFile& rf,
                                  vm::MemoryDescriptor& mm, EpisodeResult& ep) {
   // Address registers poisoned ⇒ the address itself is bogus: skip entirely.
@@ -121,7 +117,8 @@ void PreexecEngine::preexec_store(const Instr& in, RegisterFile& rf,
 
   // Fig. 3a (1): page in DRAM/cache — write the result into the store
   // buffer, INV bit tracking the data's status.
-  if (auto retired = sb_.push({key, in.size, data_invalid})) retire(*retired);
+  if (auto retired = sb_.push({key, in.size, data_invalid}))
+    px_.store(retired->addr, retired->size, retired->invalid);
   ++ep.stores_buffered;
   if (data_invalid) {
     pte->set_inv(true);
@@ -196,7 +193,7 @@ EpisodeResult PreexecEngine::run(const trace::Trace& trace, std::size_t fault_id
 
   // Episode end: retire the store buffer into the pre-execute cache, then
   // run the state-recovery policy (restore the shadow register file).
-  for (const auto& e : sb_.drain()) retire(e);
+  sb_.retire_all(px_);
   shadow_.restore(rf);
   ep.used += cfg_.restore_cost;
   if (ep.used > budget) ep.used = budget;  // clamp final partial op

@@ -97,7 +97,6 @@ class PreexecEngine {
                     vm::MemoryDescriptor& mm, EpisodeResult& ep);
   void preexec_store(const trace::Instr& in, RegisterFile& rf,
                      vm::MemoryDescriptor& mm, EpisodeResult& ep);
-  void retire(const SbEntry& e);
 
   PreexecConfig cfg_;
   mem::CacheHierarchy& caches_;

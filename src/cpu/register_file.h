@@ -38,6 +38,8 @@ class RegisterFile {
   }
 
   std::uint64_t inv_mask() const { return inv_; }
+  /// Replaces the whole INV mask; register 0 stays valid.
+  void set_inv_mask(std::uint64_t mask) { inv_ = mask & ~1ull; }
   void clear_all() { inv_ = 0; }
   unsigned invalid_count() const {
     return static_cast<unsigned>(__builtin_popcountll(inv_));
@@ -60,11 +62,7 @@ class ShadowRegisterFile {
 
   /// Restores the RF to its checkpointed state; the checkpoint stays valid
   /// (it can be restored again, e.g. nested polling checks).
-  void restore(RegisterFile& rf) const {
-    rf.clear_all();
-    for (unsigned r = 1; r < 64; ++r)
-      if (saved_ & (1ull << r)) rf.set_invalid(static_cast<std::uint8_t>(r), true);
-  }
+  void restore(RegisterFile& rf) const { rf.set_inv_mask(saved_); }
 
   bool has_checkpoint() const { return valid_; }
 

@@ -6,12 +6,23 @@
 // store instructions can be verified by checking the pre-execute cache"
 // (§3.4.2).  Entries are keyed in the same (pid, vaddr) key space as the
 // pre-execute cache.
+//
+// The entries live in a fixed ring sized at construction.  Beside it sits
+// a line filter: a count, per hashed 64-byte line bucket, of the buffered
+// entries touching a line in that bucket.  Most pre-execute loads hit no
+// buffered line, and the filter answers those without a scan.  The rule
+// that keeps it exact is that it never gives a false negative: every entry
+// either counts each line it touches, or — when it has size 0 or spans more
+// than kFilterLines lines — is counted as unfiltered, and any unfiltered
+// entry forces the full youngest-first scan.  Two lines sharing a bucket
+// only cost a scan that finds nothing.
 #pragma once
 
+#include "mem/preexec_cache.h"
 #include "util/types.h"
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -31,7 +42,8 @@ struct SbHit {
 
 class StoreBuffer {
  public:
-  explicit StoreBuffer(std::size_t capacity = 56) : capacity_(capacity) {}
+  /// Throws std::invalid_argument when `capacity` is 0.
+  explicit StoreBuffer(std::size_t capacity = 56);
 
   /// Appends a store; if the buffer is full the oldest entry retires and is
   /// returned (the caller forwards it to the pre-execute cache).
@@ -40,22 +52,42 @@ class StoreBuffer {
   /// Youngest-entry-wins forwarding lookup over [addr, addr+size).
   SbHit lookup(its::VirtAddr addr, std::uint16_t size) const;
 
-  /// Retires every entry (episode end); buffer becomes empty.
-  std::vector<SbEntry> drain();
+  /// Retires every entry into `px`, oldest first (episode end); the buffer
+  /// becomes empty.
+  void retire_all(mem::PreexecCache& px);
 
-  void clear() { entries_.clear(); }
-  std::size_t size() const { return entries_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return entries_.empty(); }
+  void clear();
+  std::size_t size() const { return count_; }
+  std::size_t capacity() const { return ring_.size(); }
+  bool empty() const { return count_ == 0; }
+
+  /// Entries spanning more lines than this bypass the filter.
+  static constexpr std::uint64_t kFilterLines = 4;
 
  private:
+  static constexpr std::size_t kBuckets = 512;
+
   static bool overlaps(const SbEntry& e, its::VirtAddr addr,
                        std::uint16_t size) {
     return e.addr < addr + size && addr < e.addr + e.size;
   }
+  static std::size_t bucket(std::uint64_t line) {
+    return static_cast<std::size_t>(line % kBuckets);
+  }
 
-  std::size_t capacity_;
-  std::deque<SbEntry> entries_;  // front = oldest
+  /// Adds `e` to (or, with `add` false, removes it from) the line filter.
+  void index(const SbEntry& e, bool add);
+  /// Ring slot of the i-th oldest entry.
+  std::size_t slot(std::size_t i) const {
+    std::size_t s = head_ + i;
+    return s < ring_.size() ? s : s - ring_.size();
+  }
+
+  std::vector<SbEntry> ring_;  // ring_[head_] = oldest
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::size_t unfiltered_ = 0;  ///< Live entries the filter does not index.
+  std::array<std::uint32_t, kBuckets> lines_{};
 };
 
 }  // namespace its::cpu

@@ -211,6 +211,29 @@ TEST(BenchCompare, RenamedMetricsAreNotedNotFailed) {
   EXPECT_TRUE(added);
 }
 
+TEST(BenchCompare, MetricsWithoutBaselineWarnAndSkip) {
+  // A baseline from before `preexec_episode` and the per-record trace
+  // metric existed, against a snapshot that has them and has dropped the
+  // whole-trace `trace_generation` reading: noted, never compared.
+  Snapshot base = make_baseline();
+  base.micro.push_back({"trace_generation", 400'000.0});
+  Snapshot cur = make_baseline();
+  cur.micro.push_back({"preexec_episode", 1e9});
+  cur.micro.push_back({"trace_generation_per_record", 1e9});
+  CompareReport rep = compare_snapshots(base, cur);
+  EXPECT_EQ(rep.status, CompareStatus::kPass);
+  EXPECT_EQ(exit_code(rep.status), 0);
+  auto has = [&](const std::string& text) {
+    for (const auto& l : rep.lines)
+      if (l.find(text) != std::string::npos) return true;
+    return false;
+  };
+  EXPECT_TRUE(has("new metric 'preexec_episode' (no baseline)"));
+  EXPECT_TRUE(has("new metric 'trace_generation_per_record' (no baseline)"));
+  EXPECT_TRUE(has("metric 'trace_generation' missing"));
+  EXPECT_FALSE(has("FAIL"));
+}
+
 // ---------------------------------------------------------------------------
 // Warn-and-skip semantics: a PR must never be blocked by an absent or
 // foreign baseline, only by a measured regression.

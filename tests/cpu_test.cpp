@@ -3,6 +3,7 @@
 // engine's Fig. 3 store/load flows.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "cpu/preexec_engine.h"
@@ -52,6 +53,14 @@ TEST(RegisterFile, InvalidCountTracksMask) {
   EXPECT_EQ(rf.invalid_count(), 0u);
 }
 
+TEST(RegisterFile, SetInvMaskKeepsRegisterZeroValid) {
+  RegisterFile rf;
+  rf.set_inv_mask(~0ull);
+  EXPECT_FALSE(rf.is_invalid(0));
+  EXPECT_TRUE(rf.is_invalid(63));
+  EXPECT_EQ(rf.invalid_count(), 63u);
+}
+
 TEST(ShadowRegisterFile, CheckpointRestoreRoundTrip) {
   RegisterFile rf;
   rf.set_invalid(4, true);
@@ -91,15 +100,25 @@ TEST(StoreBuffer, OverflowRetiresOldest) {
   EXPECT_EQ(sb.size(), 2u);
 }
 
+TEST(StoreBuffer, RejectsZeroCapacity) {
+  EXPECT_THROW(StoreBuffer(0), std::invalid_argument);
+}
+
 TEST(StoreBuffer, DrainReturnsFifoOrderAndEmpties) {
+  // Retirement order is visible in the pre-execute cache: the later store
+  // to the same byte decides its INV bit.
   StoreBuffer sb(4);
   sb.push({0x1, 1, false});
+  sb.push({0x1, 1, true});
   sb.push({0x2, 1, true});
-  auto all = sb.drain();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].addr, 0x1u);
-  EXPECT_EQ(all[1].addr, 0x2u);
+  sb.push({0x2, 1, false});
+  mem::PreexecCache px;
+  sb.retire_all(px);
+  EXPECT_EQ(px.stats().stores, 4u);
+  EXPECT_TRUE(px.lookup(0x1, 1).any_invalid);
+  EXPECT_FALSE(px.lookup(0x2, 1).any_invalid);
   EXPECT_TRUE(sb.empty());
+  EXPECT_FALSE(sb.lookup(0x1, 1).found);
 }
 
 // ---------------------------------------------------------------------------

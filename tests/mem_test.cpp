@@ -291,5 +291,11 @@ TEST(PreexecCache, RejectsNon64ByteLines) {
   EXPECT_THROW(PreexecCache({1024, 2, 32}), std::invalid_argument);
 }
 
+TEST(PreexecCache, RejectsNonPowerOfTwoSetCount) {
+  EXPECT_THROW(PreexecCache({3 * 64 * 2, 2, 64}), std::invalid_argument);  // 3 sets
+  EXPECT_THROW(PreexecCache({24 * 64 * 16, 16, 64}), std::invalid_argument);
+  EXPECT_NO_THROW(PreexecCache({4 * 64 * 2, 2, 64}));
+}
+
 }  // namespace
 }  // namespace its::mem

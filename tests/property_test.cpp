@@ -3,8 +3,10 @@
 // identities, metric sanity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 
 #include "core/simulator.h"
 #include "trace/workloads.h"
@@ -12,12 +14,23 @@
 namespace its::core {
 namespace {
 
+// gtest prints a parameter without a printer as its raw bytes, and those
+// bytes end up in the test names. The padding is therefore spelled out and
+// zeroed, so names do not carry leftover stack contents that change per run.
 struct Combo {
+  Combo(PolicyKind p, SchedulerKind s, std::uint64_t sd, unsigned c)
+      : policy(p), scheduler(s), seed(sd), cluster(c) {}
+
   PolicyKind policy;
   SchedulerKind scheduler;
+  std::uint8_t pad0[6] = {};
   std::uint64_t seed;
   unsigned cluster;
+  std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(Combo) == 24 &&
+                  std::has_unique_object_representations_v<Combo>,
+              "Combo must have no implicit padding");
 
 std::string combo_name(const ::testing::TestParamInfo<Combo>& info) {
   std::string s{policy_name(info.param.policy)};

@@ -4,7 +4,8 @@
 //   its_bench --quick --compare bench/snapshots/BENCH_baseline.json
 //
 // Measures (a) micro ns/op for the substrate data structures the simulator
-// spends its time in — the same operations bench/micro_substrates.cpp
+// spends its time in (ns per record for `preexec_episode` and
+// `trace_generation_per_record`) — the same operations bench/micro_substrates.cpp
 // benchmarks under google-benchmark, timed here with a plain steady_clock
 // loop so the result lands in machine-readable JSON — and (b) one macro
 // figure-regen: the full 4-batch x 5-policy grid through the work-stealing
@@ -18,6 +19,8 @@
 #include "snapshot.h"
 
 #include "core/experiment.h"
+#include "cpu/preexec_engine.h"
+#include "cpu/register_file.h"
 #include "farm/farm.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
@@ -26,6 +29,7 @@
 #include "serve/arrival.h"
 #include "serve/scenario.h"
 #include "storage/dma.h"
+#include "trace/trace.h"
 #include "trace/workloads.h"
 #include "util/args.h"
 #include "util/rng.h"
@@ -56,17 +60,20 @@ double now_ms() {
       .count();
 }
 
-/// Times `op` over `iters` iterations (after a 1/16 warm-up) and returns
-/// the amortised ns per operation.
-double time_ns_per_op(std::uint64_t iters, const std::function<void()>& op) {
-  for (std::uint64_t i = 0; i < iters / 16 + 1; ++i) op();
+/// Times `op` over `iters` calls (after a 1/16 warm-up) and returns the
+/// amortised ns per unit of work, where each timed call reports how many
+/// units it did (records examined, records generated, or 1 for one op).
+double time_ns_per_unit(std::uint64_t iters,
+                        const std::function<std::uint64_t()>& op) {
+  for (std::uint64_t i = 0; i < iters / 16 + 1; ++i) keep(op());
+  std::uint64_t units = 0;
   auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < iters; ++i) op();
+  for (std::uint64_t i = 0; i < iters; ++i) units += op();
   auto elapsed = std::chrono::steady_clock::now() - start;
   return static_cast<double>(
              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                  .count()) /
-         static_cast<double>(iters);
+         static_cast<double>(units == 0 ? 1 : units);
 }
 
 std::vector<its::Vpn> bench_footprint(unsigned pages) {
@@ -81,10 +88,17 @@ std::vector<its::Vpn> bench_footprint(unsigned pages) {
 std::vector<perf::Metric> run_micro(bool quick) {
   const std::uint64_t scale = quick ? 1 : 8;
   std::vector<perf::Metric> out;
+  auto add_per_unit = [&](const char* name, std::uint64_t iters,
+                          const std::function<std::uint64_t()>& op) {
+    std::cerr << "  micro " << name << " ...\n";
+    out.push_back({name, time_ns_per_unit(iters * scale, op)});
+  };
   auto add = [&](const char* name, std::uint64_t iters,
                  const std::function<void()>& op) {
-    std::cerr << "  micro " << name << " ...\n";
-    out.push_back({name, time_ns_per_op(iters * scale, op)});
+    add_per_unit(name, iters, [&] {
+      op();
+      return std::uint64_t{1};
+    });
   };
 
   {
@@ -149,11 +163,33 @@ std::vector<perf::Metric> run_micro(bool quick) {
     });
   }
   {
+    // One pre-execute episode per op over a fixed PageRank trace with half
+    // its pages swapped out, faulting at a stride through the trace;
+    // reported per record examined.
     trace::GeneratorConfig cfg;
     cfg.length_scale = 0.02;
-    add("trace_generation", 20, [&] {
+    const trace::Trace t = trace::generate(trace::WorkloadId::kPageRank, cfg);
+    const std::vector<its::Vpn> pages = t.touched_pages();
+    vm::MemoryDescriptor mm(1, pages);
+    for (std::size_t i = 0; i < pages.size(); i += 2) mm.pte(pages[i])->map(i);
+    mem::CacheHierarchy caches;
+    mem::PreexecCache px;
+    cpu::PreexecEngine engine({}, caches, px);
+    cpu::RegisterFile rf;
+    std::size_t fault = 0;
+    add_per_unit("preexec_episode", 5'000, [&] {
+      fault = (fault + 97) % t.size();
+      return std::uint64_t{engine.run(t, fault, rf, mm, 20_us).records};
+    });
+  }
+  {
+    // Reported per generated record, so it never reads against the old
+    // whole-trace `trace_generation` figure.
+    trace::GeneratorConfig cfg;
+    cfg.length_scale = 0.02;
+    add_per_unit("trace_generation_per_record", 20, [&] {
       trace::Trace t = trace::generate(trace::WorkloadId::kRandomWalk, cfg);
-      keep(t.size());
+      return std::uint64_t{t.size()};
     });
   }
   return out;
