@@ -25,16 +25,16 @@ namespace its::bench {
 /// default — ITS_JOBS env or hardware_concurrency; 1 = serial reference).
 inline unsigned jobs_from_args(int argc, char** argv) {
   util::Args args(argc, argv);
-  return static_cast<unsigned>(args.get_u64("jobs", 0));
+  return args.get_unsigned("jobs", 0);
 }
 
-/// Runs the full 4-batch × 5-policy grid on the work-stealing run farm.
+/// Runs the full 4-batch × 5-policy grid on the run farm.
 inline std::vector<core::BatchResult> run_grid(
     core::ExperimentConfig cfg = {}, int argc = 0, char** argv = nullptr) {
   if (argc != 0) cfg.jobs = jobs_from_args(argc, argv);
   std::cerr << "  running " << core::paper_batches().size()
             << " batches x 5 policies (--jobs="
-            << (cfg.jobs == 0 ? farm::Farm::default_jobs() : cfg.jobs)
+            << (cfg.jobs == 0 ? farm::default_jobs() : cfg.jobs)
             << ") ..." << std::endl;
   return core::run_grid_all(cfg);
 }

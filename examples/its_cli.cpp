@@ -317,9 +317,8 @@ int run_serve_cli(const util::Args& args) {
     points.push_back(std::move(pt));
   } else {
     const double overcommits[] = {cfg.overcommit};
-    points = serve::run_serve_sweep(
-        cfg, overcommits, policies,
-        static_cast<unsigned>(args.get_u64("jobs", 0)));
+    points = serve::run_serve_sweep(cfg, overcommits, policies,
+                                    args.get_unsigned("jobs", 0));
   }
   for (const serve::ServePoint& pt : points) print_serve_point(pt);
 
@@ -470,7 +469,7 @@ int run_cli(int argc, char** argv) {
   cfg.sim.ull.write_latency = cfg.sim.ull.read_latency;
   cfg.sim.ctx_switch_cost = args.get_u64("ctx-us", 7) * 1000;
   cfg.gen.length_scale = args.get_double("length-scale", 1.0);
-  cfg.jobs = static_cast<unsigned>(args.get_u64("jobs", 0));
+  cfg.jobs = args.get_unsigned("jobs", 0);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
   std::string sched = args.get_string("scheduler", "rr");
   if (sched == "cfs") {

@@ -41,9 +41,8 @@ BatchResult run_batch_all(const BatchSpec& batch, const ExperimentConfig& cfg) {
   BatchResult r;
   r.spec = &batch;
   auto traces = batch_traces(batch, cfg.gen);
-  farm::Farm farm(cfg.jobs);
   std::vector<SimMetrics> ms = farm::run_collect<SimMetrics>(
-      farm, std::size(kAllPolicies), [&](std::size_t i) {
+      cfg.jobs, std::size(kAllPolicies), [&](std::size_t i) {
         return run_batch_policy(batch, kAllPolicies[i], cfg, traces);
       });
   for (std::size_t i = 0; i < std::size(kAllPolicies); ++i)
@@ -53,18 +52,17 @@ BatchResult run_batch_all(const BatchSpec& batch, const ExperimentConfig& cfg) {
 
 std::vector<BatchResult> run_grid_all(const ExperimentConfig& cfg) {
   const auto batches = paper_batches();
-  farm::Farm farm(cfg.jobs);
 
   // Phase 1: per-batch trace generation (deterministic in (workload, cfg)).
   std::vector<std::vector<std::shared_ptr<const trace::Trace>>> traces =
       farm::run_collect<std::vector<std::shared_ptr<const trace::Trace>>>(
-          farm, batches.size(),
+          cfg.jobs, batches.size(),
           [&](std::size_t b) { return batch_traces(batches[b], cfg.gen); });
 
-  // Phase 2: every (batch, policy) pair is one work-stealing task.
+  // Phase 2: every (batch, policy) pair is one farm task.
   const std::size_t policies = std::size(kAllPolicies);
   std::vector<SimMetrics> ms = farm::run_collect<SimMetrics>(
-      farm, batches.size() * policies, [&](std::size_t i) {
+      cfg.jobs, batches.size() * policies, [&](std::size_t i) {
         std::size_t b = i / policies;
         return run_batch_policy(batches[b], kAllPolicies[i % policies], cfg,
                                 traces[b]);
@@ -82,8 +80,7 @@ std::vector<BatchResult> run_grid_all(const ExperimentConfig& cfg) {
 std::vector<SimMetrics> run_sim_tasks(
     std::size_t n, unsigned jobs,
     const std::function<SimMetrics(std::size_t)>& task) {
-  farm::Farm farm(jobs);
-  return farm::run_collect<SimMetrics>(farm, n, task);
+  return farm::run_collect<SimMetrics>(jobs, n, task);
 }
 
 double BatchResult::normalized(PolicyKind k, double (*extract)(const SimMetrics&)) const {

@@ -31,7 +31,7 @@ struct ExperimentConfig {
   SimConfig sim{};               ///< Base config; dram_bytes set per batch.
   double dram_headroom = 1.12;   ///< DRAM = Σ working sets × headroom.
   /// Run-farm width for multi-run entry points (run_batch_all, run_grid_all,
-  /// run_sim_tasks, run_batch_policy_repeated): 0 = farm::Farm::default_jobs()
+  /// run_sim_tasks, run_batch_policy_repeated): 0 = farm::default_jobs()
   /// (ITS_JOBS env or hardware_concurrency), 1 = serial reference execution.
   /// Results are bit-identical at every value (docs/performance.md).
   unsigned jobs = 0;
@@ -74,9 +74,9 @@ struct BatchResult {
 /// Runs every policy over one batch with shared traces.
 BatchResult run_batch_all(const BatchSpec& batch, const ExperimentConfig& cfg = {});
 
-/// Runs every paper batch under every policy through one shared run farm:
-/// per-batch trace generation fans out first, then all (batch, policy)
-/// simulations execute as independent work-stealing tasks.  Results are
+/// Runs every paper batch under every policy on the run farm: per-batch
+/// trace generation fans out first, then all (batch, policy) simulations
+/// execute as independent farm tasks.  Results are
 /// collected by submission index, so the grid is byte-identical at any
 /// `cfg.jobs` — this is the engine behind every figure bench and
 /// `its_cli --policy=all` (see docs/performance.md).

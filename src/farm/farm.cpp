@@ -1,223 +1,68 @@
 #include "farm/farm.h"
 
-#include "util/mutex.h"
-
-#include <array>
+#include <algorithm>
 #include <atomic>
-#include <cstddef>
-#include <cstdint>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <functional>
-#include <memory>
 #include <thread>
 
 namespace its::farm {
 
 namespace {
-/// Set while a thread is executing farm tasks, so nested run_indexed
-/// calls degrade to inline serial execution instead of deadlocking on a
-/// pool whose workers are all busy running their callers.
+/// Set on farm worker threads, so nested run_indexed calls run inline
+/// instead of spawning threads per outer task.
 thread_local bool tl_in_worker = false;
-
-/// Cap on tasks moved per steal visit; steal_half never needs more than
-/// half the largest queue a victim realistically accumulates, and a fixed
-/// buffer keeps the explore path allocation-free.
-constexpr std::size_t kStealBatch = 64;
 }  // namespace
 
-std::uint64_t FarmStats::total_tasks() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.tasks_run;
-  return n;
-}
-
-std::uint64_t FarmStats::total_steals() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.steals;
-  return n;
-}
-
-std::uint64_t FarmStats::total_stolen_tasks() const {
-  std::uint64_t n = 0;
-  for (const WorkerStats& w : workers) n += w.stolen_tasks;
-  return n;
-}
-
-double FarmStats::occupancy(std::size_t w) const {
-  std::uint64_t total = total_tasks();
-  if (total == 0 || w >= workers.size()) return 0.0;
-  return static_cast<double>(workers[w].tasks_run) /
-         static_cast<double>(total);
-}
-
-unsigned Farm::default_jobs() {
+unsigned default_jobs() {
   if (const char* env = std::getenv("ITS_JOBS")) {
-    unsigned v = static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-    if (v > 0) return v;
+    const char* end = env + std::strlen(env);
+    unsigned v = 0;
+    auto [stop, ec] = std::from_chars(env, end, v);
+    if (ec == std::errc() && stop == end && v > 0) return v;
   }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
 
-bool Farm::in_worker() { return tl_in_worker; }
+bool in_worker() { return tl_in_worker; }
 
-Farm::Farm(unsigned jobs) {
+void run_indexed(unsigned jobs, std::size_t n,
+                 const std::function<void(std::size_t)>& task) {
   if (jobs == 0) jobs = default_jobs();
-  slots_.reserve(jobs);
-  for (unsigned w = 0; w < jobs; ++w) slots_.push_back(std::make_unique<Slot>());
-  // jobs == 1 keeps the calling thread as the only executor: no worker
-  // threads, no handshakes — the serial reference execution.
-  if (jobs == 1) return;
-  threads_.reserve(jobs);
-  for (unsigned w = 0; w < jobs; ++w)
-    threads_.emplace_back([this, w] { worker_main(w); });
-}
-
-Farm::~Farm() {
-  {
-    util::MutexLock l(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void Farm::run_indexed(std::size_t n,
-                       const std::function<void(std::size_t)>& task) {
-  if (n == 0) return;
-  if (threads_.empty() || tl_in_worker) {
-    // Serial reference path (jobs == 1) and the nested-call fallback.
-    // Same contract as the threaded path: the batch drains fully and the
-    // first failure is rethrown at the end.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        task(i);
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
+  // One slot per task: each is written by exactly one thread, and the
+  // join publishes them, so no lock is needed.
+  std::vector<std::exception_ptr> errors(n);
+  auto run = [&](std::size_t i) {
+    try {
+      task(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    // Only the single-owner serial farm may touch slot 0's counters here;
-    // a nested call runs on a worker whose own execute() already counts.
-    if (threads_.empty()) slots_[0]->stats.tasks_run += n;
-    if (first_error) std::rethrow_exception(first_error);
-    return;
+  };
+
+  const std::size_t width = std::min<std::size_t>(jobs, n);
+  if (width <= 1 || tl_in_worker) {
+    for (std::size_t i = 0; i < n; ++i) run(i);
+  } else {
+    std::atomic<std::size_t> next{0};
+    // jthread joins on destruction, also when a later spawn throws: the
+    // workers already started drain the cursor before the error leaves.
+    std::vector<std::jthread> workers;
+    workers.reserve(width);
+    for (std::size_t w = 0; w < width; ++w)
+      workers.emplace_back([&] {
+        tl_in_worker = true;
+        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+             k < n; k = next.fetch_add(1, std::memory_order_relaxed))
+          run(n - 1 - k);  // top down: the paper grid's heaviest runs are last
+      });
   }
 
-  util::MutexLock serial(run_mu_);
-  {
-    util::MutexLock l(mu_);
-    // Round-robin initial distribution; stealing rebalances from there.
-    for (std::size_t i = 0; i < n; ++i)
-      slots_[i % slots_.size()]->deque.push_back(i);
-    task_ = &task;
-    error_ = nullptr;
-    remaining_.store(n, std::memory_order_release);
-    ++epoch_;
-  }
-  cv_work_.notify_all();
-
-  std::exception_ptr first_error;
-  {
-    util::MutexLock l(mu_);
-    // Explicit wait loop, not a predicate lambda: a lambda body is
-    // analyzed as a separate unannotated function, so -Wthread-safety
-    // would lose the fact that busy_ is only ever read under mu_.
-    // Waiting for busy_ == 0 (not just remaining_ == 0) guarantees no
-    // worker still holds a pointer into this call's `task` when we return.
-    while (remaining_.load(std::memory_order_acquire) != 0 || busy_ != 0)
-      cv_done_.wait(l);
-    task_ = nullptr;
-    first_error = error_;
-    error_ = nullptr;
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void Farm::worker_main(unsigned w) {
-  tl_in_worker = true;
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(std::size_t)>* task = nullptr;
-    {
-      util::MutexLock l(mu_);
-      while (!stop_ && epoch_ == seen) cv_work_.wait(l);
-      if (stop_) return;
-      seen = epoch_;
-      task = task_;
-      if (task == nullptr) continue;  // stale wake between batches
-      ++busy_;  // same lock hold as the task_ read: the master cannot
-                // retire `task` until this worker leaves drain()
-    }
-    drain(w, *task);
-    {
-      util::MutexLock l(mu_);
-      --busy_;
-    }
-    cv_done_.notify_all();
-  }
-}
-
-void Farm::drain(unsigned w, const std::function<void(std::size_t)>& task) {
-  Slot& self = *slots_[w];
-  std::array<std::uint64_t, kStealBatch> loot;
-  std::uint64_t id = 0;
-  while (remaining_.load(std::memory_order_acquire) > 0) {
-    // Exploit: own deque, newest first.
-    if (self.deque.try_pop_back(&id)) {
-      execute(w, task, id);
-      continue;
-    }
-    // Explore: sweep victims in a fixed ring order, taking half a queue
-    // per visit.  Deterministic victim order keeps the farm free of
-    // entropy (its_lint det-rand applies here too); fairness comes from
-    // each worker starting the sweep at its own successor.
-    bool got = false;
-    for (std::size_t off = 1; off < slots_.size() && !got; ++off) {
-      Slot& victim = *slots_[(w + off) % slots_.size()];
-      std::size_t k = victim.deque.steal_half(loot.data(), loot.size());
-      if (k == 0) {
-        ++self.stats.steal_misses;
-        continue;
-      }
-      ++self.stats.steals;
-      self.stats.stolen_tasks += k;
-      // Run the oldest stolen task now; queue the rest locally.
-      for (std::size_t i = 1; i < k; ++i) self.deque.push_back(loot[i]);
-      execute(w, task, loot[0]);
-      got = true;
-    }
-    if (!got) std::this_thread::yield();
-  }
-}
-
-void Farm::execute(unsigned w, const std::function<void(std::size_t)>& task,
-                   std::uint64_t id) {
-  try {
-    task(static_cast<std::size_t>(id));
-  } catch (...) {
-    util::MutexLock l(mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-  ++slots_[w]->stats.tasks_run;
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task of the batch: wake the master (lock pairs the notify with
-    // its cv_done_ wait).
-    util::MutexLock l(mu_);
-    cv_done_.notify_all();
-  }
-}
-
-FarmStats Farm::stats() const {
-  FarmStats s;
-  s.workers.reserve(slots_.size());
-  for (const auto& slot : slots_) {
-    WorkerStats w = slot->stats;
-    w.max_queue_depth = slot->deque.max_depth();
-    s.workers.push_back(w);
-  }
-  return s;
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 }
 
 }  // namespace its::farm

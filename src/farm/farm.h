@@ -1,150 +1,45 @@
-// farm — the work-stealing run farm.
+// farm — the run farm.
 //
-// Executes batches of *independent* tasks (in this repo: whole simulation
-// runs, each owning its RNG and event clock) across a fixed pool of worker
-// threads.  Each worker owns a cache-line-aligned slot holding its task
-// deque and counters; a worker whose deque runs dry steals half of a
-// victim's queue (farm/deque.h).  Determinism contract: tasks are named by
-// their submission index and results are collected by that index, so the
-// output of a farm run is byte-identical at any worker count and under any
-// steal interleaving — the golden files do not know the farm exists.  The
-// determinism matrix (tests/farm_test.cpp, ctest -L farm) and the TSAN CI
-// job enforce this; docs/performance.md describes the design.
-//
-// Lock discipline (docs/concurrency.md): every mutable member is either
-// GUARDED_BY(mu_), atomic with explicit memory_order at each access, or
-// immutable after construction — annotated for clang -Wthread-safety and
-// checked portably by its_lint's conc pass.
+// Runs a batch of *independent* tasks (in this repo: whole simulation
+// runs, each owning its RNG and event clock) on a few threads.  Each call
+// spawns its workers, hands out indices from one atomic cursor and joins
+// them.  Determinism contract: tasks are named by their index and results
+// are collected by that index, so the output of a farm run is
+// byte-identical at any width and in any execution order — the golden
+// files do not know the farm exists.  The determinism matrix
+// (tests/farm_test.cpp, ctest -L farm) and the TSan CI job enforce this;
+// docs/concurrency.md states the contract.
 #pragma once
 
-#include "farm/deque.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
 
 namespace its::farm {
 
-/// Per-worker counters, written only by the owning worker during a run and
-/// safe to read once `run_indexed` has returned.
-struct WorkerStats {
-  std::uint64_t tasks_run = 0;     ///< Tasks this worker executed.
-  std::uint64_t steals = 0;        ///< Successful steal_half visits.
-  std::uint64_t stolen_tasks = 0;  ///< Tasks acquired by stealing.
-  std::uint64_t steal_misses = 0;  ///< Victims found empty.
-  std::size_t max_queue_depth = 0; ///< High-water mark of the own deque.
-};
+/// ITS_JOBS when it is a plain positive decimal that fits `unsigned`, else
+/// std::thread::hardware_concurrency (never 0).
+unsigned default_jobs();
 
-/// Aggregated view over every worker, returned by Farm::stats().
-struct FarmStats {
-  std::vector<WorkerStats> workers;
+/// True on a thread currently running a farm task.
+bool in_worker();
 
-  std::uint64_t total_tasks() const;
-  std::uint64_t total_steals() const;
-  std::uint64_t total_stolen_tasks() const;
+/// Runs task(0), …, task(n-1) on min(jobs, n) threads (`jobs` 0 means
+/// default_jobs()) and returns once every task finished.  Tasks must be
+/// independent; they may run in any order on any thread.  Every task runs
+/// even when others throw; the exception of the lowest failing index is
+/// rethrown after the join.  A width of 1, and any call made from inside
+/// a farm task, runs the tasks inline in ascending order — the serial
+/// reference execution, and deadlock-free nesting.
+void run_indexed(unsigned jobs, std::size_t n,
+                 const std::function<void(std::size_t)>& task);
 
-  /// Fraction of all executed tasks that worker `w` ran — the farm's
-  /// occupancy/balance measure (1/jobs each when perfectly balanced).
-  double occupancy(std::size_t w) const;
-};
-
-/// A fixed-width work-stealing thread pool.
-///
-/// `Farm(1)` spawns no threads and runs tasks inline in submission order —
-/// the exact serial semantics of the pre-farm code — so `--jobs 1` is
-/// always available as the bit-for-bit reference execution.  Nested
-/// `run_indexed` calls from inside a farm task also run inline, which
-/// makes composing farmed helpers (a farmed sweep whose tasks call a
-/// farmed grid) deadlock-free by construction.
-class Farm {
- public:
-  /// `jobs` worker threads; 0 means default_jobs().
-  explicit Farm(unsigned jobs = 0);
-  ~Farm();
-
-  Farm(const Farm&) = delete;
-  Farm& operator=(const Farm&) = delete;
-
-  /// Worker width (≥ 1).
-  unsigned jobs() const { return static_cast<unsigned>(slots_.size()); }
-
-  /// Runs task(0), …, task(n-1), blocking until every task finished.
-  /// Tasks must be independent; they may run in any order on any worker.
-  /// The first exception a task throws is rethrown here after the batch
-  /// drains (remaining tasks still run).  Not reentrant from two external
-  /// threads; calls from inside a farm task execute inline.
-  void run_indexed(std::size_t n,
-                   const std::function<void(std::size_t)>& task)
-      EXCLUDES(run_mu_, mu_);
-
-  /// Per-worker counters.  Call only while no run is in flight.
-  FarmStats stats() const;
-
-  /// ITS_JOBS environment override, else std::thread::hardware_concurrency
-  /// (never 0).
-  static unsigned default_jobs();
-
-  /// True on a thread currently executing a farm task.
-  static bool in_worker();
-
- private:
-  /// One worker's world, padded to its own cache line so deque and
-  /// counter traffic never false-shares with a neighbour.
-  struct alignas(util::kDestructiveInterferenceSize) Slot {
-    TaskDeque deque;
-    WorkerStats stats;
-  };
-
-  void worker_main(unsigned w);
-  /// Exploit-own-deque / explore-victims loop for the current batch.
-  void drain(unsigned w, const std::function<void(std::size_t)>& task);
-  void execute(unsigned w, const std::function<void(std::size_t)>& task,
-               std::uint64_t id);
-
-  // Sized in the constructor, immutable afterwards; workers index their
-  // own slot lock-free by design.
-  // its-lint: allow(conc-guarded): immutable after construction
-  std::vector<std::unique_ptr<Slot>> slots_;
-  // Spawned in the constructor, joined in the destructor, never touched
-  // in between.
-  // its-lint: allow(conc-guarded): ctor/dtor-only access
-  std::vector<std::thread> threads_;
-
-  util::Mutex run_mu_;  ///< Serialises external run_indexed callers.
-
-  /// The batch-handshake lock, on its own cache line so worker handshake
-  /// traffic never false-shares with the caller-serialisation lock above
-  /// (its_lint conc-false-share).
-  alignas(util::kDestructiveInterferenceSize) mutable util::Mutex mu_;
-  util::CondVar cv_work_;  ///< Signals a new batch (epoch_ bumped).
-  util::CondVar cv_done_;  ///< Signals batch completion to the master.
-  const std::function<void(std::size_t)>* task_ GUARDED_BY(mu_) = nullptr;
-  std::uint64_t epoch_ GUARDED_BY(mu_) = 0;  ///< Batch generation counter.
-  std::size_t busy_ GUARDED_BY(mu_) = 0;     ///< Workers inside drain().
-  std::exception_ptr error_ GUARDED_BY(mu_); ///< First task failure.
-  bool stop_ GUARDED_BY(mu_) = false;        ///< Destructor shutdown flag.
-  /// Unfinished tasks this epoch.  Deliberately *not* guarded: drain()
-  /// polls it lock-free on the task fast path, so every access states its
-  /// memory_order explicitly (acquire loads pair with the release store in
-  /// run_indexed and the acq_rel fetch_sub in execute — the exemplar for
-  /// its_lint's conc-atomic-order rule).
-  std::atomic<std::size_t> remaining_{0};
-};
-
-/// Farms `task` over [0, n) and collects the results keyed by submission
-/// index — the deterministic-collection helper every caller should use.
+/// run_indexed that collects task(i) into slot i of the result.
 template <typename R>
-std::vector<R> run_collect(Farm& farm, std::size_t n,
+std::vector<R> run_collect(unsigned jobs, std::size_t n,
                            const std::function<R(std::size_t)>& task) {
   std::vector<R> out(n);
-  farm.run_indexed(n, [&](std::size_t i) { out[i] = task(i); });
+  run_indexed(jobs, n, [&](std::size_t i) { out[i] = task(i); });
   return out;
 }
 

@@ -14,8 +14,7 @@ std::vector<ServePoint> run_serve_sweep(
     std::span<const core::PolicyKind> policies, unsigned jobs) {
   const std::size_t n = overcommits.size() * policies.size();
   std::vector<ServePoint> out(n);
-  farm::Farm farm(jobs);
-  farm.run_indexed(n, [&](std::size_t i) {
+  farm::run_indexed(jobs, n, [&](std::size_t i) {
     const std::size_t pi = i / overcommits.size();
     const std::size_t oi = i % overcommits.size();
     ServeConfig cfg = base;

@@ -2,7 +2,7 @@
 // bench/abl_serve_overcommit.
 //
 // Each (policy, overcommit) point is one independent run_serve task on the
-// work-stealing farm; results are collected by submission index, so the
+// run farm; results are collected by submission index, so the
 // sweep is byte-identical at any --jobs width (the same contract as
 // core::run_grid_all — tests/serve_test.cpp pins it on the CSV bytes).
 #pragma once

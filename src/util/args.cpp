@@ -1,7 +1,9 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace its::util {
 
@@ -49,6 +51,14 @@ std::uint64_t Args::get_u64(std::string_view name, std::uint64_t def) const {
   } catch (const std::exception&) {
     throw std::invalid_argument("--" + std::string(name) + ": not an integer: " + *v);
   }
+}
+
+unsigned Args::get_unsigned(std::string_view name, unsigned def) const {
+  std::uint64_t v = get_u64(name, def);
+  if (v > std::numeric_limits<unsigned>::max())
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": out of range: " + std::to_string(v));
+  return static_cast<unsigned>(v);
 }
 
 double Args::get_double(std::string_view name, double def) const {

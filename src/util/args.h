@@ -25,6 +25,8 @@ class Args {
   /// Typed getters with defaults; throw std::invalid_argument on parse
   /// failure (a misspelt number should not silently become the default).
   std::uint64_t get_u64(std::string_view name, std::uint64_t def) const;
+  /// get_u64 that also throws when the value does not fit `unsigned`.
+  unsigned get_unsigned(std::string_view name, unsigned def) const;
   double get_double(std::string_view name, double def) const;
   std::string get_string(std::string_view name, std::string def) const;
 

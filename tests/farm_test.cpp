@@ -1,20 +1,18 @@
-// Work-stealing run-farm suite (ctest label: farm).
+// Run-farm suite (ctest label: farm).
 //
-// Three layers of guarantees:
-//   * TaskDeque unit behaviour — LIFO owner pops, FIFO steal-half from the
-//     front (including the single-element race window), ring wrap-around
-//     and growth, depth accounting;
-//   * Farm execution semantics — every task runs exactly once at any
-//     width, results collect by submission index, nested calls run inline,
-//     exceptions propagate, thousands of no-op tasks drain (stress), the
-//     stats ledger balances, ITS_JOBS is honoured;
+// Two layers of guarantees:
+//   * farm execution semantics — every task runs exactly once at any
+//     width, results collect by index, nested calls run inline, the
+//     lowest-index exception propagates after every task ran, thousands
+//     of no-op tasks drain (stress), ITS_JOBS is honoured only when it is
+//     a plain positive decimal;
 //   * the bit-determinism matrix — the same experiments at --jobs 1/2/8
 //     and under a shuffled submission order produce byte-identical metrics
 //     CSVs, and a --jobs 8 run reproduces the checked-in golden files
 //     (tests/golden/metrics.golden, fault_metrics.golden) byte for byte.
 //
 // The whole suite also runs under TSAN in CI (-DITS_SANITIZE=thread);
-// docs/performance.md describes the farm design these tests pin down.
+// docs/concurrency.md states the farm contract these tests pin down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,14 +24,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/batch.h"
 #include "core/experiment.h"
 #include "core/policy.h"
 #include "core/report.h"
-#include "farm/deque.h"
 #include "farm/farm.h"
 #include "fault/fault_injector.h"
 
@@ -48,215 +44,46 @@ using core::PolicyKind;
 using core::SimMetrics;
 
 // ---------------------------------------------------------------------------
-// TaskDeque.
-
-TEST(TaskDeque, OwnerPopsLifo) {
-  farm::TaskDeque d;
-  for (std::uint64_t t = 0; t < 4; ++t) d.push_back(t);
-  std::uint64_t got = 0;
-  for (std::uint64_t expect : {3u, 2u, 1u, 0u}) {
-    ASSERT_TRUE(d.try_pop_back(&got));
-    EXPECT_EQ(got, expect);
-  }
-  EXPECT_FALSE(d.try_pop_back(&got));
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(TaskDeque, StealFromEmptyReturnsZero) {
-  farm::TaskDeque d;
-  std::uint64_t out[4];
-  EXPECT_EQ(d.steal_half(out, 4), 0u);
-  // Emptied-then-stolen: the pop wins, the thief sees nothing.
-  d.push_back(7);
-  std::uint64_t got = 0;
-  ASSERT_TRUE(d.try_pop_back(&got));
-  EXPECT_EQ(d.steal_half(out, 4), 0u);
-}
-
-TEST(TaskDeque, SingleElementStealTakesIt) {
-  // The classic Chase-Lev race window: one task, owner and thief both
-  // reaching for it.  Under the mutex exactly one side gets it; a thief
-  // arriving first takes the single element.
-  farm::TaskDeque d;
-  d.push_back(42);
-  std::uint64_t out[4];
-  ASSERT_EQ(d.steal_half(out, 4), 1u);
-  EXPECT_EQ(out[0], 42u);
-  std::uint64_t got = 0;
-  EXPECT_FALSE(d.try_pop_back(&got));
-}
-
-TEST(TaskDeque, StealHalfTakesOldestHalfInFifoOrder) {
-  farm::TaskDeque d;
-  for (std::uint64_t t = 0; t < 7; ++t) d.push_back(t);
-  std::uint64_t out[8];
-  // ceil(7/2) == 4, from the front: 0,1,2,3.
-  ASSERT_EQ(d.steal_half(out, 8), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
-  // Owner still pops its freshest work last-in-first-out.
-  std::uint64_t got = 0;
-  ASSERT_TRUE(d.try_pop_back(&got));
-  EXPECT_EQ(got, 6u);
-  EXPECT_EQ(d.size(), 2u);
-}
-
-TEST(TaskDeque, StealHalfHonoursMaxOut) {
-  farm::TaskDeque d;
-  for (std::uint64_t t = 0; t < 10; ++t) d.push_back(t);
-  std::uint64_t out[2];
-  ASSERT_EQ(d.steal_half(out, 2), 2u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 1u);
-  EXPECT_EQ(d.size(), 8u);
-}
-
-TEST(TaskDeque, WrapAroundPreservesFifoFront) {
-  // Drive head_ around the ring: fill, drain from the front, refill past
-  // the physical end.  Steals must still see oldest-first order.
-  farm::TaskDeque d(4);
-  std::uint64_t out[16];
-  for (std::uint64_t t = 0; t < 3; ++t) d.push_back(t);
-  ASSERT_EQ(d.steal_half(out, 16), 2u);  // head advances to slot 2
-  for (std::uint64_t t = 3; t < 6; ++t) d.push_back(t);  // wraps
-  ASSERT_EQ(d.size(), 4u);
-  ASSERT_EQ(d.steal_half(out, 16), 2u);
-  EXPECT_EQ(out[0], 2u);
-  EXPECT_EQ(out[1], 3u);
-  std::uint64_t got = 0;
-  ASSERT_TRUE(d.try_pop_back(&got));
-  EXPECT_EQ(got, 5u);
-  ASSERT_TRUE(d.try_pop_back(&got));
-  EXPECT_EQ(got, 4u);
-  EXPECT_TRUE(d.empty());
-}
-
-TEST(TaskDeque, GrowthPreservesOrderAcrossWrap) {
-  farm::TaskDeque d(2);
-  std::uint64_t out[64];
-  // Misalign head first, then overflow the tiny ring several times over.
-  d.push_back(100);
-  ASSERT_EQ(d.steal_half(out, 1), 1u);
-  for (std::uint64_t t = 0; t < 33; ++t) d.push_back(t);
-  EXPECT_EQ(d.size(), 33u);
-  ASSERT_EQ(d.steal_half(out, 64), 17u);  // ceil(33/2)
-  for (std::uint64_t i = 0; i < 17; ++i) EXPECT_EQ(out[i], i);
-  std::uint64_t got = 0;
-  ASSERT_TRUE(d.try_pop_back(&got));
-  EXPECT_EQ(got, 32u);
-}
-
-TEST(TaskDeque, MaxDepthIsHighWaterMark) {
-  farm::TaskDeque d;
-  EXPECT_EQ(d.max_depth(), 0u);
-  for (std::uint64_t t = 0; t < 5; ++t) d.push_back(t);
-  std::uint64_t got = 0;
-  d.try_pop_back(&got);
-  d.try_pop_back(&got);
-  d.push_back(9);
-  EXPECT_EQ(d.max_depth(), 5u);
-  EXPECT_EQ(d.size(), 4u);
-}
-
-// Owner-vs-thief hammer on the single-element race window: the owner
-// pushes one task and immediately pops it back while a thief spins on
-// steal_half, so nearly every round contends for a deque of size one.
-// Exactly one side must win each task — under TSAN (CI runs this suite
-// with -DITS_SANITIZE=thread) this also proves the mutex discipline in
-// deque.cpp is data-race-free, not merely count-correct.
-TEST(TaskDeque, SingleElementOwnerVsThiefRaceIsExactlyOnce) {
-  constexpr std::uint64_t kRounds = 20000;
-  farm::TaskDeque d(2);
-  std::atomic<bool> ready{false};
-  std::atomic<bool> done{false};
-  std::vector<std::uint64_t> owner_got, thief_got;
-  owner_got.reserve(kRounds);
-  thief_got.reserve(kRounds);
-
-  std::thread thief([&] {
-    ready.store(true, std::memory_order_release);
-    std::uint64_t out[4];
-    for (;;) {
-      const std::size_t n = d.steal_half(out, 4);
-      for (std::size_t i = 0; i < n; ++i) thief_got.push_back(out[i]);
-      if (n == 0 && done.load(std::memory_order_acquire) && d.empty()) break;
-    }
-  });
-  while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
-
-  for (std::uint64_t t = 0; t < kRounds; ++t) {
-    d.push_back(t);
-    // Every 16th task is left in the deque: it sits at the *front* (the
-    // owner pops the back), so only the thief can take it — guaranteeing
-    // the steal path runs even if the thief loses every size-1 race.
-    if (t % 16 == 0) continue;
-    std::uint64_t back = 0;
-    if (d.try_pop_back(&back)) owner_got.push_back(back);
-  }
-  done.store(true, std::memory_order_release);
-  thief.join();
-
-  ASSERT_EQ(owner_got.size() + thief_got.size(), kRounds);
-  std::vector<unsigned> seen(kRounds, 0);
-  for (std::uint64_t t : owner_got) ++seen[t];
-  for (std::uint64_t t : thief_got) ++seen[t];
-  for (std::uint64_t t = 0; t < kRounds; ++t)
-    ASSERT_EQ(seen[t], 1u) << "task " << t;
-  // The skipped tasks can only leave through steal_half, so the steal
-  // path is guaranteed to have run under contention.
-  EXPECT_GE(thief_got.size(), kRounds / 16);
-}
-
-// ---------------------------------------------------------------------------
 // Farm execution semantics.
 
 TEST(Farm, EveryTaskRunsExactlyOnceAtAnyWidth) {
   for (unsigned jobs : {1u, 2u, 8u}) {
-    farm::Farm farm(jobs);
-    EXPECT_EQ(farm.jobs(), jobs);
     std::vector<std::atomic<int>> hits(257);
-    farm.run_indexed(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    farm::run_indexed(jobs, hits.size(),
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
       EXPECT_EQ(hits[i].load(), 1) << "task " << i << " at jobs=" << jobs;
   }
 }
 
 TEST(Farm, RunCollectKeysResultsBySubmissionIndex) {
-  farm::Farm farm(4);
   std::vector<std::uint64_t> got = farm::run_collect<std::uint64_t>(
-      farm, 100, [](std::size_t i) { return static_cast<std::uint64_t>(i * i); });
+      4, 100, [](std::size_t i) { return static_cast<std::uint64_t>(i * i); });
   for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], i * i);
 }
 
-TEST(Farm, ReusableAcrossBatches) {
-  farm::Farm farm(3);
-  for (int round = 0; round < 5; ++round) {
-    std::atomic<int> ran{0};
-    farm.run_indexed(31 + round, [&](std::size_t) { ran.fetch_add(1); });
-    EXPECT_EQ(ran.load(), 31 + round);
-  }
-}
-
 TEST(Farm, NestedCallsRunInline) {
-  farm::Farm outer(4);
   std::vector<std::atomic<int>> hits(64);
-  outer.run_indexed(8, [&](std::size_t o) {
-    EXPECT_TRUE(farm::Farm::in_worker());
-    // A farmed helper invoked from inside a farm task must not deadlock:
-    // the nested farm degrades to inline serial execution on this thread.
-    farm::Farm inner(4);
-    inner.run_indexed(8, [&](std::size_t i) { hits[o * 8 + i].fetch_add(1); });
+  farm::run_indexed(4, 8, [&](std::size_t o) {
+    EXPECT_TRUE(farm::in_worker());
+    // A farmed helper invoked from inside a farm task runs inline on this
+    // thread, in ascending order, instead of spawning threads of its own.
+    std::vector<std::size_t> order;
+    farm::run_indexed(4, 8, [&](std::size_t i) {
+      order.push_back(i);
+      hits[o * 8 + i].fetch_add(1);
+    });
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
   });
-  EXPECT_FALSE(farm::Farm::in_worker());
+  EXPECT_FALSE(farm::in_worker());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Farm, FirstExceptionPropagatesAfterDrain) {
   for (unsigned jobs : {1u, 4u}) {
-    farm::Farm farm(jobs);
     std::atomic<int> ran{0};
     try {
-      farm.run_indexed(40, [&](std::size_t i) {
+      farm::run_indexed(jobs, 40, [&](std::size_t i) {
         if (i == 17) throw std::runtime_error("task 17 failed");
         ran.fetch_add(1);
       });
@@ -266,52 +93,52 @@ TEST(Farm, FirstExceptionPropagatesAfterDrain) {
     }
     // The batch drains: every non-throwing task still ran.
     EXPECT_EQ(ran.load(), 39);
-    // The farm stays usable after a failed batch.
-    std::atomic<int> again{0};
-    farm.run_indexed(10, [&](std::size_t) { again.fetch_add(1); });
-    EXPECT_EQ(again.load(), 10);
+  }
+}
+
+TEST(Farm, LowestIndexExceptionWinsAtAnyWidth) {
+  // Tasks 5 and 17 both throw.  Whichever fails first in time, the caller
+  // sees task 5's exception, so a failing run reports the same error at
+  // every width.
+  for (unsigned jobs : {1u, 4u, 8u}) {
+    std::vector<std::atomic<int>> ran(40);
+    try {
+      farm::run_indexed(jobs, ran.size(), [&](std::size_t i) {
+        ran[i].fetch_add(1);
+        if (i == 5 || i == 17)
+          throw std::runtime_error("task " + std::to_string(i) + " failed");
+      });
+      FAIL() << "expected a task exception to propagate (jobs=" << jobs << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 5 failed") << "jobs=" << jobs;
+    }
+    for (std::size_t i = 0; i < ran.size(); ++i)
+      EXPECT_EQ(ran[i].load(), 1) << "task " << i << " at jobs=" << jobs;
   }
 }
 
 TEST(Farm, StressThousandsOfNoopTasks) {
-  farm::Farm farm(8);
   for (int round = 0; round < 3; ++round) {
     std::atomic<std::uint64_t> sum{0};
     const std::size_t n = 5000;
-    farm.run_indexed(n, [&](std::size_t i) { sum.fetch_add(i + 1); });
+    farm::run_indexed(8, n, [&](std::size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n + 1) / 2);
   }
 }
 
-TEST(Farm, StatsLedgerBalances) {
-  farm::Farm farm(4);
-  const std::size_t n = 1000;
-  farm.run_indexed(n, [](std::size_t) {});
-  farm::FarmStats st = farm.stats();
-  ASSERT_EQ(st.workers.size(), 4u);
-  EXPECT_EQ(st.total_tasks(), n);
-  double occ = 0.0;
-  std::uint64_t stolen = 0;
-  for (std::size_t w = 0; w < st.workers.size(); ++w) {
-    const farm::WorkerStats& ws = st.workers[w];
-    occ += st.occupancy(w);
-    stolen += ws.stolen_tasks;
-    EXPECT_GE(ws.max_queue_depth, ws.tasks_run > 0 ? 1u : 0u);
-  }
-  EXPECT_NEAR(occ, 1.0, 1e-9);
-  EXPECT_EQ(stolen, st.total_stolen_tasks());
-  EXPECT_LE(st.total_stolen_tasks(), n);
-}
-
 TEST(Farm, DefaultJobsHonoursItsJobsEnv) {
-  ASSERT_EQ(setenv("ITS_JOBS", "3", 1), 0);
-  EXPECT_EQ(farm::Farm::default_jobs(), 3u);
-  farm::Farm farm(0);
-  EXPECT_EQ(farm.jobs(), 3u);
-  ASSERT_EQ(setenv("ITS_JOBS", "not-a-number", 1), 0);
-  EXPECT_GE(farm::Farm::default_jobs(), 1u);  // falls back, never 0
   ASSERT_EQ(unsetenv("ITS_JOBS"), 0);
-  EXPECT_GE(farm::Farm::default_jobs(), 1u);
+  const unsigned hardware = farm::default_jobs();
+  EXPECT_GE(hardware, 1u);  // never 0
+  ASSERT_EQ(setenv("ITS_JOBS", "3", 1), 0);
+  EXPECT_EQ(farm::default_jobs(), 3u);
+  // Anything but a plain positive decimal that fits `unsigned` falls back
+  // to the hardware width: no sign wrap, no trailing junk, no truncation.
+  for (const char* bad : {"not-a-number", "-1", "3x", "99999999999", "0", ""}) {
+    ASSERT_EQ(setenv("ITS_JOBS", bad, 1), 0);
+    EXPECT_EQ(farm::default_jobs(), hardware) << "ITS_JOBS=" << bad;
+  }
+  ASSERT_EQ(unsetenv("ITS_JOBS"), 0);
 }
 
 // ---------------------------------------------------------------------------

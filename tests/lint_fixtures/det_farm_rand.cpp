@@ -1,6 +1,6 @@
-// det-rand fixture, farm flavour: entropy in steal-victim selection or
-// sweep-start shuffling breaks the run farm's bit-identical contract
-// (src/farm/ sweeps victims in a fixed ring order instead).
+// det-rand fixture, farm flavour: entropy in choosing which worker or
+// index runs next breaks the run farm's bit-identical contract
+// (src/farm/ hands out indices from one atomic counter, never a draw).
 #include <cstddef>
 #include <random>
 

@@ -368,6 +368,18 @@ TEST(LintExitCodes, PerRuleAndLowestWins) {
   EXPECT_EQ(errored.exit_code(), kExitUsage);
 }
 
+TEST(LintExitCodes, RetiredCodes28Through32NameNoRule) {
+  // The conc-* rules are gone; their codes stay unused so no script that
+  // branches on an exit status changes meaning.
+  for (std::size_t i = 18; i <= 22; ++i) {
+    EXPECT_EQ(exit_code_for(static_cast<Rule>(i)), static_cast<int>(10 + i));
+    EXPECT_TRUE(rule_id(static_cast<Rule>(i)).empty()) << "code " << 10 + i;
+  }
+  Rule r = Rule::kDetRand;
+  EXPECT_FALSE(rule_from_id("conc-guarded", &r));
+  EXPECT_FALSE(rule_from_id("", &r));
+}
+
 // Seeding any fixture's violation into a src/ path must produce findings —
 // the property the lint.src_clean ctest gate relies on.
 TEST(LintGate, FixtureViolationsWouldFailTheSrcGate) {
@@ -593,209 +605,6 @@ TEST(LintArchGate, DeletingAnyManifestEdgeFails) {
     }
   }
   EXPECT_GT(edges_tried, 10u);  // the real graph is well-connected
-}
-#endif  // ITS_LINT_REPO_ROOT
-
-// ---------------------------------------------------------------------------
-// Concurrency rules over the fixture mini-trees.
-
-std::vector<Finding> conc_scan(const std::string& tree,
-                               LockGraph* graph = nullptr) {
-  LockGraph local_graph;
-  if (graph == nullptr) graph = &local_graph;
-  std::vector<std::string> errors;
-  auto findings =
-      scan_concurrency(conc_options_for_root(fixture(tree)), graph, &errors);
-  EXPECT_TRUE(errors.empty());
-  return findings;
-}
-
-TEST(LintConc, GuardedFiresOnEveryUnguardedMutableMember) {
-  auto findings = conc_scan("conc_guarded");
-  auto got = locations(findings);
-  // count_ and dirty_ lack GUARDED_BY; mu_ (the lock itself) and the
-  // const limit_ are exempt.
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kConcGuarded, 14}, {Rule::kConcGuarded, 15}};
-  EXPECT_EQ(got, want);
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(findings[0].file, "src/a/a.h");
-  EXPECT_TRUE(has_finding(findings, Rule::kConcGuarded, "'count_'"));
-  EXPECT_TRUE(has_finding(findings, Rule::kConcGuarded, "'dirty_'"));
-}
-
-TEST(LintConc, LockOrderCycleReportsTheFullCanonicalPath) {
-  LockGraph graph;
-  auto findings = conc_scan("conc_lock_order", &graph);
-  auto got = locations(findings);
-  // Anchored at the witness of the cycle's first edge: a.cpp takes
-  // g_beta while holding g_alpha on line 12.
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kConcLockOrder, 12}};
-  EXPECT_EQ(got, want);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].file, "src/a/a.cpp");
-  EXPECT_NE(findings[0].message.find("g_alpha -> g_beta -> g_alpha"),
-            std::string::npos);
-  // Both directions are edges of the witnessed graph.
-  auto has_edge = [&](const std::string& from, const std::string& to) {
-    return std::any_of(graph.edges.begin(), graph.edges.end(),
-                       [&](const LockGraph::Edge& e) {
-                         return e.from == from && e.to == to;
-                       });
-  };
-  EXPECT_TRUE(has_edge("g_alpha", "g_beta"));
-  EXPECT_TRUE(has_edge("g_beta", "g_alpha"));
-}
-
-TEST(LintConc, AtomicOrderFiresOnBareAccessesOnly) {
-  auto findings = conc_scan("conc_atomic");
-  auto got = locations(findings);
-  // store/load/fetch_add without memory_order plus ++; the two accesses
-  // that spell their ordering are clean.
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kConcAtomicOrder, 8},
-      {Rule::kConcAtomicOrder, 9},
-      {Rule::kConcAtomicOrder, 10},
-      {Rule::kConcAtomicOrder, 13}};
-  EXPECT_EQ(got, want);
-}
-
-TEST(LintConc, SharedStaticFlagsMutableStateOnly) {
-  auto findings = conc_scan("conc_static");
-  auto got = locations(findings);
-  // A mutable global, a mutable file-static, and a function-local
-  // static; const/thread_local stay exempt.
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kConcSharedStatic, 7},
-      {Rule::kConcSharedStatic, 8},
-      {Rule::kConcSharedStatic, 13}};
-  EXPECT_EQ(got, want);
-}
-
-TEST(LintConc, FalseShareFlagsAdjacentUnpaddedSyncMembers) {
-  auto findings = conc_scan("conc_false_share");
-  auto got = locations(findings);
-  // HotCounters' adjacent atomics fire (on the second member);
-  // PaddedCounters separates them with alignas and stays clean.
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kConcFalseShare, 10}};
-  EXPECT_EQ(got, want);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("HotCounters"), std::string::npos);
-}
-
-TEST(LintConc, ReasonedAllowSilencesAConcFinding) {
-  SourceFile f = SourceFile::from_text(
-      "src/a/a.h",
-      "#pragma once\n"
-      "#include <mutex>\n"
-      "class C {\n"
-      "  std::mutex mu_;\n"
-      "  // its-lint: allow(conc-guarded): set once before threads start\n"
-      "  int x_ = 0;\n"
-      "};\n");
-  auto findings = scan_concurrency_files({f}, nullptr);
-  EXPECT_TRUE(findings.empty())
-      << (findings.empty() ? "" : findings[0].message);
-}
-
-TEST(LintConc, LockDotOutputListsLocksAndEdges) {
-  LockGraph graph;
-  conc_scan("conc_lock_order", &graph);
-  std::ostringstream dot;
-  print_lock_dot(dot, graph);
-  EXPECT_NE(dot.str().find("digraph its_locks"), std::string::npos);
-  EXPECT_NE(dot.str().find("\"g_alpha\";"), std::string::npos);
-  EXPECT_NE(dot.str().find("\"g_alpha\" -> \"g_beta\";"), std::string::npos);
-  EXPECT_NE(dot.str().find("\"g_beta\" -> \"g_alpha\";"), std::string::npos);
-}
-
-TEST(LintExitCodes, ConcRulesMapTo28Through32) {
-  EXPECT_EQ(exit_code_for(Rule::kConcGuarded), 28);
-  EXPECT_EQ(exit_code_for(Rule::kConcLockOrder), 29);
-  EXPECT_EQ(exit_code_for(Rule::kConcAtomicOrder), 30);
-  EXPECT_EQ(exit_code_for(Rule::kConcSharedStatic), 31);
-  EXPECT_EQ(exit_code_for(Rule::kConcFalseShare), 32);
-}
-
-// ---------------------------------------------------------------------------
-// The conc repo-head gate: src/ is conc-clean, the farm's annotations are
-// load-bearing (stripping any one GUARDED_BY turns lint.src_clean red),
-// and the committed docs/locks.dot matches a fresh scan byte for byte.
-
-#ifdef ITS_LINT_REPO_ROOT
-TEST(LintConcGate, RepoHeadIsConcClean) {
-  LockGraph graph;
-  std::vector<std::string> errors;
-  auto findings = scan_concurrency(
-      conc_options_for_root(ITS_LINT_REPO_ROOT), &graph, &errors);
-  EXPECT_TRUE(errors.empty());
-  EXPECT_TRUE(findings.empty())
-      << findings.size() << " finding(s), first: "
-      << (findings.empty() ? "" : findings[0].message);
-  // The farm's lock hierarchy is the graph: both Farm locks nest over
-  // the per-worker deque lock, and the caller lock nests over the
-  // handshake lock.
-  EXPECT_GE(graph.locks.size(), 3u);
-  EXPECT_GE(graph.edges.size(), 3u);
-}
-
-TEST(LintConcGate, StrippingAnyGuardFromDequeFails) {
-  SourceFile original;
-  std::string err;
-  ASSERT_TRUE(SourceFile::load(
-      std::string(ITS_LINT_REPO_ROOT) + "/src/farm/deque.h", &original,
-      &err))
-      << err;
-  std::size_t guards_tried = 0;
-  for (std::size_t li = 0; li < original.raw_lines.size(); ++li) {
-    // Only annotations in code count — the doc comment mentions the
-    // macro too, and stripping prose must not be expected to fire.
-    if (original.code_lines[li].find("GUARDED_BY") == std::string::npos)
-      continue;
-    std::string text;
-    for (std::size_t k = 0; k < original.raw_lines.size(); ++k) {
-      std::string line = original.raw_lines[k];
-      if (k == li) {
-        std::size_t at = line.find(" GUARDED_BY(mu_)");
-        ASSERT_NE(at, std::string::npos) << "line " << li + 1;
-        line.erase(at, std::string(" GUARDED_BY(mu_)").size());
-      }
-      text += line;
-      text += '\n';
-    }
-    SourceFile mutated = SourceFile::from_text("src/farm/deque.h", text);
-    auto findings = scan_concurrency_files({mutated}, nullptr);
-    EXPECT_TRUE(has_finding(findings, Rule::kConcGuarded, "TaskDeque"))
-        << "stripping the guard on line " << li + 1
-        << " produced no conc-guarded finding";
-    LintResult r;
-    r.findings = std::move(findings);
-    EXPECT_NE(r.exit_code(), kExitClean);
-    ++guards_tried;
-  }
-  EXPECT_EQ(guards_tried, 4u);  // ring_, head_, count_, max_depth_
-}
-
-TEST(LintConcGate, LocksDotMatchesGeneratedGraph) {
-  LockGraph graph;
-  std::vector<std::string> errors;
-  scan_concurrency(conc_options_for_root(ITS_LINT_REPO_ROOT), &graph,
-                   &errors);
-  ASSERT_TRUE(errors.empty());
-  std::ostringstream generated;
-  print_lock_dot(generated, graph);
-
-  std::ifstream committed(std::string(ITS_LINT_REPO_ROOT) +
-                          "/docs/locks.dot");
-  ASSERT_TRUE(committed.good()) << "docs/locks.dot is missing";
-  std::ostringstream on_disk;
-  on_disk << committed.rdbuf();
-  // Byte-identical: regenerate with
-  //   its_lint --root . --conc-only --lock-dot docs/locks.dot
-  // whenever the lock hierarchy changes.
-  EXPECT_EQ(on_disk.str(), generated.str());
 }
 #endif  // ITS_LINT_REPO_ROOT
 

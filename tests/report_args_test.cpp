@@ -129,6 +129,16 @@ TEST(Args, EntirelyNonNumericThrowsInvalidArgument) {
   EXPECT_THROW(c.get_u64("n", 0), std::invalid_argument);
 }
 
+TEST(Args, UnsignedRejectsValuesAboveUintMax) {
+  // --jobs=4294967296 used to wrap to 0, which means hardware width.
+  auto a = make_args({"--jobs=4294967296"});
+  EXPECT_THROW(a.get_unsigned("jobs", 0), std::invalid_argument);
+  auto b = make_args({"--jobs=4294967295"});
+  EXPECT_EQ(b.get_unsigned("jobs", 0), 4294967295u);
+  auto c = make_args({});
+  EXPECT_EQ(c.get_unsigned("jobs", 7), 7u);
+}
+
 TEST(Args, UnknownFlagDetection) {
   auto a = make_args({"--good=1", "--typo=2"});
   auto unknown = a.unknown({"good"});

@@ -8,8 +8,8 @@
 // `trace_generation_per_record`) — the same operations bench/micro_substrates.cpp
 // benchmarks under google-benchmark, timed here with a plain steady_clock
 // loop so the result lands in machine-readable JSON — and (b) one macro
-// figure-regen: the full 4-batch x 5-policy grid through the work-stealing
-// run farm, serial and at --jobs width, reporting runs/sec and speedup.
+// figure-regen: the full 4-batch x 5-policy grid through the run farm,
+// serial and at --jobs width, reporting runs/sec and speedup.
 //
 // --compare gates on a committed baseline: >tolerance (default 15%)
 // regression in any micro metric or in macro runs/sec exits non-zero;
@@ -205,7 +205,7 @@ perf::MacroResult run_macro(unsigned jobs) {
   cfg.gen.footprint_scale = 0.25;
 
   perf::MacroResult m;
-  m.jobs = jobs == 0 ? farm::Farm::default_jobs() : jobs;
+  m.jobs = jobs == 0 ? farm::default_jobs() : jobs;
   m.runs = static_cast<unsigned>(core::paper_batches().size() *
                                  std::size(core::kAllPolicies));
 
@@ -278,7 +278,7 @@ int run(int argc, char** argv) {
             << snap.machine.cpus << " cpu(s), " << snap.machine.compiler
             << ", " << snap.machine.build << "\n";
   snap.micro = run_micro(quick);
-  snap.macro = run_macro(static_cast<unsigned>(args.get_u64("jobs", 0)));
+  snap.macro = run_macro(args.get_unsigned("jobs", 0));
   snap.serve = run_serve_macro(quick);
 
   for (const perf::Metric& m : snap.micro)

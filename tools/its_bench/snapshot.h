@@ -2,7 +2,7 @@
 //
 // A Snapshot records one perf measurement of the repo: per-substrate
 // micro-benchmark costs (ns/op) plus one macro figure-regen run on the
-// work-stealing farm (wall clock, runs/sec, speedup over serial).  The
+// run farm (wall clock, runs/sec, speedup over serial).  The
 // machine fingerprint rides along so the comparator can refuse to compare
 // numbers taken on different hardware or build types: cross-machine deltas
 // are noise, not regressions, so they warn-and-skip instead of failing.

@@ -283,11 +283,9 @@ std::vector<Symbol> parse_exports(const ArchFile& f) {
       if (p >= text.size() || !ident_char(text[p])) continue;  // anonymous
       std::size_t name_end = p;
       std::string name = read_ident(text, p, &name_end);
-      // Attribute macros (util/thread_annotations.h) and alignas precede
-      // the tag name — `class CAPABILITY("mutex") Mutex` — and the tag,
-      // not the annotation, is the export.
-      while (name == "CAPABILITY" || name == "SCOPED_CAPABILITY" ||
-             name == "alignas") {
+      // alignas precedes the tag name — `struct alignas(64) Slot` — and
+      // the tag, not the specifier, is the export.
+      while (name == "alignas") {
         std::size_t a = skip_ws(text, name_end);
         if (a < text.size() && text[a] == '(') {
           int depth = 0;

@@ -68,7 +68,7 @@ LintResult run_lint(const LintOptions& opts) {
     roots.push_back(
         (std::filesystem::path(opts.root) / "src").generic_string());
 
-  if (!opts.arch_only && !opts.conc_only && !opts.units_only) {
+  if (!opts.arch_only && !opts.units_only) {
     for (const std::string& path : collect_files(roots, &r.errors)) {
       SourceFile f;
       std::string err;
@@ -94,7 +94,7 @@ LintResult run_lint(const LintOptions& opts) {
   // The architecture pass is whole-program: it runs on full-tree scans
   // (and under --arch-only / --dot), never for explicit file lists.
   const bool want_dot = !opts.dot_path.empty();
-  if (!opts.conc_only && !opts.units_only &&
+  if (!opts.units_only &&
       ((opts.arch && default_scan) || opts.arch_only || want_dot)) {
     ModuleGraph graph;
     std::vector<Finding> arch = scan_architecture(
@@ -115,33 +115,9 @@ LintResult run_lint(const LintOptions& opts) {
     }
   }
 
-  // The concurrency pass is whole-program too: full-tree scans (and
-  // --conc-only / --lock-dot), never explicit file lists.
-  const bool want_lock_dot = !opts.lock_dot_path.empty();
-  if (!opts.arch_only && !opts.units_only &&
-      ((opts.conc && default_scan) || opts.conc_only || want_lock_dot)) {
-    LockGraph locks;
-    std::vector<Finding> conc =
-        scan_concurrency(conc_options_for_root(opts.root), &locks, &r.errors);
-    r.findings.insert(r.findings.end(),
-                      std::make_move_iterator(conc.begin()),
-                      std::make_move_iterator(conc.end()));
-    if (want_lock_dot) {
-      if (opts.lock_dot_path == "-") {
-        print_lock_dot(std::cout, locks);
-      } else {
-        std::ofstream dot(opts.lock_dot_path);
-        if (!dot)
-          r.errors.push_back("cannot write " + opts.lock_dot_path);
-        else
-          print_lock_dot(dot, locks);
-      }
-    }
-  }
-
   // The units pass is whole-program as well: dimension maps span every
   // file, so it runs on full-tree scans (and --units-only) only.
-  if (!opts.arch_only && !opts.conc_only &&
+  if (!opts.arch_only &&
       ((opts.units && default_scan) || opts.units_only)) {
     std::vector<Finding> units =
         scan_units(units_options_for_root(opts.root), &r.errors);

@@ -55,12 +55,9 @@ enum class Rule : std::size_t {
   kArchUnusedInclude, ///< Project include contributing no symbol.
   kArchGuard,         ///< Header without #pragma once.
   kArchDeadApi,       ///< Public-header symbol referenced by no other file.
-  kConcGuarded,       ///< Lock-owning class member without GUARDED_BY.
-  kConcLockOrder,     ///< Cycle in the lock-acquisition-order graph.
-  kConcAtomicOrder,   ///< Atomic access without explicit memory_order.
-  kConcSharedStatic,  ///< Mutable static state shared across workers.
-  kConcFalseShare,    ///< Adjacent sync members without alignas padding.
-  kUnitsMixedArith,   ///< Arithmetic/comparison mixing quantity dimensions.
+  // 18-22 (exit codes 28-32) belonged to the retired conc-* rules; they
+  // stay unused so no later rule's exit code moves.
+  kUnitsMixedArith = 23,  ///< Arithmetic/comparison mixing quantity dimensions.
   kUnitsAliasDecl,    ///< Bare uint64_t/double decl where an alias exists.
   kUnitsRawLiteral,   ///< Unsuffixed time-scale literal (use _us/_ms/_s).
   kUnitsNarrow,       ///< Time/size narrowed to 32 bits or double-promoted.
@@ -72,6 +69,7 @@ inline constexpr std::size_t kNumRules =
     static_cast<std::size_t>(Rule::kUnitsShiftPage) + 1;
 
 /// Stable kebab-case rule identifier, used in output and in allow(...).
+/// Empty for the retired enumerator values, which name no rule.
 std::string_view rule_id(Rule r);
 
 /// One-line description shown by --list-rules.
@@ -216,50 +214,6 @@ std::vector<Finding> scan_architecture(const ArchOptions& opts,
 void print_dot(std::ostream& os, const ModuleGraph& g);
 
 // ---------------------------------------------------------------------------
-// Concurrency rules (whole-program).
-
-/// What the concurrency pass reads: the src tree, nothing else — there is
-/// no manifest; the committed docs/locks.dot artifact is checked by the
-/// test suite and CI diffing it against a fresh --lock-dot run.
-struct ConcOptions {
-  std::string root;     ///< Tree root (findings are reported relative to it).
-  std::string src_dir;  ///< Directory scanned, normally root/src.
-};
-
-/// Default layout: src_dir = root/src.
-ConcOptions conc_options_for_root(const std::string& root);
-
-/// The cross-file lock-acquisition-order graph: an edge A -> B means some
-/// function acquires B while holding A (directly, or through a call the
-/// scanner can resolve by method name).  Deadlock freedom = this is a DAG.
-struct LockGraph {
-  struct Edge {
-    std::string from, to;  ///< Canonical lock names (Class::member).
-    std::string file;      ///< Witness acquisition/call site ...
-    std::size_t line = 0;  ///< ... for reporting.
-  };
-  std::vector<std::string> locks;  ///< Sorted canonical lock names.
-  std::vector<Edge> edges;         ///< Deduped, sorted (from, to).
-};
-
-/// Runs the whole conc-* family: GUARDED_BY coverage of lock-owning
-/// classes, lock-order cycles, implicit-seq_cst atomic accesses, mutable
-/// static state, and false-sharing-prone adjacent sync members.
-/// Suppressions are applied internally; `graph` receives the lock graph
-/// for --lock-dot when non-null.
-std::vector<Finding> scan_concurrency(const ConcOptions& opts,
-                                      LockGraph* graph,
-                                      std::vector<std::string>* errors);
-
-/// In-memory variant (fixture and gate tests): scans exactly `files`,
-/// reporting findings against each SourceFile's `path` as given.
-std::vector<Finding> scan_concurrency_files(
-    const std::vector<SourceFile>& files, LockGraph* graph);
-
-/// Graphviz rendering of the lock graph (stable, sorted output).
-void print_lock_dot(std::ostream& os, const LockGraph& g);
-
-// ---------------------------------------------------------------------------
 // Units rules (whole-program).
 
 /// What the units pass reads: the src tree, nothing else.  The quantity
@@ -296,13 +250,10 @@ struct LintOptions {
   bool registry = true;         ///< Run the cross-file rules.
   bool arch = true;             ///< Run the architecture rules.
   bool arch_only = false;       ///< Run ONLY the architecture rules.
-  bool conc = true;             ///< Run the concurrency rules.
-  bool conc_only = false;       ///< Run ONLY the concurrency rules.
   bool units = true;            ///< Run the units rules.
   bool units_only = false;      ///< Run ONLY the units rules.
   bool json = false;            ///< Machine-readable output.
   std::string dot_path;         ///< Write the module graph here ("-": stdout).
-  std::string lock_dot_path;    ///< Write the lock graph here ("-": stdout).
 };
 
 struct LintResult {

@@ -60,21 +60,7 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"arch-dead-api",
      "symbol declared in a module's public header but referenced by no "
      "other file in src/, tests/, tools/, examples/ or bench/"},
-    {"conc-guarded",
-     "class owns a mutex but a mutable non-atomic member lacks "
-     "GUARDED_BY(...) (util/thread_annotations.h)"},
-    {"conc-lock-order",
-     "cycle in the cross-file lock-acquisition-order graph (deadlock; "
-     "full cycle path reported, graph committed as docs/locks.dot)"},
-    {"conc-atomic-order",
-     "std::atomic access without an explicit memory_order (implicit "
-     "seq_cst hides the intended ordering; farm.cpp is the exemplar)"},
-    {"conc-shared-static",
-     "mutable namespace-scope or function-local static state — shared "
-     "across farm workers once the SMP refactor lands"},
-    {"conc-false-share",
-     "adjacent synchronization members without alignas separation "
-     "(util::kDestructiveInterferenceSize) — false-sharing hot spot"},
+    {}, {}, {}, {}, {},  // retired conc-* rules (exit codes 28-32)
     {"units-mixed-arith",
      "arithmetic/comparison mixing quantity dimensions (SimTime + SimTime, "
      "time vs bytes/pages/addresses) — see the algebra in util/types.h"},
@@ -111,7 +97,7 @@ std::string_view rule_summary(Rule r) {
 
 bool rule_from_id(std::string_view id, Rule* out) {
   for (std::size_t i = 0; i < kNumRules; ++i) {
-    if (kRules[i].id == id) {
+    if (!id.empty() && kRules[i].id == id) {
       *out = static_cast<Rule>(i);
       return true;
     }

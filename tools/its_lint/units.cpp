@@ -104,7 +104,7 @@ std::size_t skip_balanced(std::string_view text, std::size_t open, char o,
 
 /// apply_suppressions both filters and *reports* malformed directives; the
 /// determinism pass already reports those for every src file, so this pass
-/// filters only (same contract as the arch and conc passes).
+/// filters only (same contract as the arch pass).
 std::vector<Finding> filter_suppressed(const SourceFile& f,
                                        std::vector<Finding> findings) {
   std::vector<Finding> out = apply_suppressions(f, std::move(findings));
