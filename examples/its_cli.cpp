@@ -21,8 +21,11 @@
 // profile or outage spec, 5 unrecoverable outage (the device died and a
 // page was lost past the fallback pool — docs/robustness.md), 6 SLO gate
 // failed (--slo-p99 given and a run's aggregate p99 exceeded it).
+#include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -41,6 +44,7 @@
 #include "util/args.h"
 #include "util/quantile.h"
 #include "util/table.h"
+#include "util/types.h"
 
 namespace {
 
@@ -256,6 +260,18 @@ void print_serve_point(const serve::ServePoint& pt) {
             << " ms\n\n";
 }
 
+/// `--name`, given in units of `scale` (1_ms, 1_MiB, ...), in base units.
+/// A value whose product overflows 64 bits is a usage error (exit 2), not a
+/// silent wrap.
+std::uint64_t get_scaled(const util::Args& args, std::string_view name,
+                         std::uint64_t def, std::uint64_t scale) {
+  const std::uint64_t v = args.get_u64(name, def);
+  if (mul_overflows(v, scale))
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": out of range: " + std::to_string(v));
+  return v * scale;
+}
+
 /// --scenario=serve: the open-loop serving scenario (docs/serving.md).
 /// Reuses --policy/--seed/--jobs/--csv/--trace-out and the fault flags;
 /// the serve-only knobs shape the arrival stream and the frame pool.
@@ -277,10 +293,9 @@ int run_serve_cli(const util::Args& args) {
     }
     cfg.arrivals.model = *m;
   }
-  cfg.duration = args.get_u64("duration-ms", cfg.duration / 1'000'000) * 1'000'000;
+  cfg.duration = get_scaled(args, "duration-ms", cfg.duration / 1_ms, 1_ms);
   cfg.max_requests = args.get_u64("max-requests", cfg.max_requests);
-  cfg.admit_limit =
-      static_cast<unsigned>(args.get_u64("admit-limit", cfg.admit_limit));
+  cfg.admit_limit = args.get_unsigned("admit-limit", cfg.admit_limit);
   cfg.overcommit = args.get_double("overcommit", cfg.overcommit);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;
 
@@ -433,7 +448,7 @@ int run_cli(int argc, char** argv) {
               << t.stats().footprint_pages << " pages touched\n\n";
     core::SimConfig cfg;
     cfg.seed = args.get_u64("seed", cfg.seed);
-    cfg.dram_bytes = args.get_u64("dram-mb", 64) << 20;
+    cfg.dram_bytes = get_scaled(args, "dram-mb", 64, 1_MiB);
     if (int rc = apply_fault_flags(args, cfg.fault); rc != 0) return rc;
     std::string pol = args.get_string("policy", "Sync");
     for (auto k : core::kAllPolicies) {
@@ -464,10 +479,10 @@ int run_cli(int argc, char** argv) {
   core::ExperimentConfig cfg;
   cfg.sim.seed = args.get_u64("seed", cfg.sim.seed);
   cfg.sim.va_prefetch.degree =
-      static_cast<unsigned>(args.get_u64("degree", cfg.sim.va_prefetch.degree));
-  cfg.sim.ull.read_latency = args.get_u64("media-us", 3) * 1000;
+      args.get_unsigned("degree", cfg.sim.va_prefetch.degree);
+  cfg.sim.ull.read_latency = get_scaled(args, "media-us", 3, 1_us);
   cfg.sim.ull.write_latency = cfg.sim.ull.read_latency;
-  cfg.sim.ctx_switch_cost = args.get_u64("ctx-us", 7) * 1000;
+  cfg.sim.ctx_switch_cost = get_scaled(args, "ctx-us", 7, 1_us);
   cfg.gen.length_scale = args.get_double("length-scale", 1.0);
   cfg.jobs = args.get_unsigned("jobs", 0);
   if (int rc = apply_fault_flags(args, cfg.sim.fault); rc != 0) return rc;

@@ -2,41 +2,6 @@
 
 namespace its::obs {
 
-std::string_view kind_name(EventKind k) {
-  switch (k) {
-    case EventKind::kFaultBegin:    return "fault_begin";
-    case EventKind::kFaultEnd:      return "fault_end";
-    case EventKind::kFileWait:      return "file_wait";
-    case EventKind::kPrefetchIssue: return "prefetch_issue";
-    case EventKind::kPrefetchHit:   return "prefetch_hit";
-    case EventKind::kPreexecBegin:  return "preexec_begin";
-    case EventKind::kPreexecEnd:    return "preexec_end";
-    case EventKind::kCtxSwitch:     return "ctx_switch";
-    case EventKind::kAsyncConvert:  return "async_convert";
-    case EventKind::kDmaComplete:   return "dma_complete";
-    case EventKind::kSchedPick:     return "sched_pick";
-    case EventKind::kSchedBlock:    return "sched_block";
-    case EventKind::kSchedWake:     return "sched_wake";
-    case EventKind::kEvict:         return "evict";
-    case EventKind::kSwapIn:        return "swap_in";
-    case EventKind::kSwapOut:       return "swap_out";
-    case EventKind::kPrefetchWalk:  return "prefetch_walk";
-    case EventKind::kIoError:       return "io_error";
-    case EventKind::kIoRetry:       return "io_retry";
-    case EventKind::kDeadlineAbort: return "deadline_abort";
-    case EventKind::kModeFallback:  return "mode_fallback";
-    case EventKind::kHealthTransition: return "health_transition";
-    case EventKind::kPoolStore:     return "pool_store";
-    case EventKind::kPoolLoad:      return "pool_load";
-    case EventKind::kPoolDrain:     return "pool_drain";
-    case EventKind::kRequestArrive: return "request_arrive";
-    case EventKind::kRequestAdmit:  return "request_admit";
-    case EventKind::kRequestDone:   return "request_done";
-    case EventKind::kSloViolation:  return "slo_violation";
-  }
-  return "unknown";
-}
-
 std::uint64_t EventTrace::count(EventKind k) const {
   std::uint64_t n = 0;
   for (const Event& e : buf_)

@@ -22,60 +22,138 @@
 
 namespace its::obs {
 
-enum class EventKind : std::uint8_t {
-  kFaultBegin,     ///< Major fault entered the handler.        a=vpn b=device health at entry
-  kFaultEnd,       ///< Fault resolved (page mapped).           a=vpn b=busy-wait window c=stolen
-  kFileWait,       ///< Sync wait on a page-cache page.         a=page key b=wait c=stolen
-  kPrefetchIssue,  ///< Page posted to DMA by a prefetcher.     a=vpn/key b=source (PrefetchSource)
-  kPrefetchHit,    ///< Minor fault consumed a prefetched page. a=vpn
-  kPreexecBegin,   ///< Pre-execute episode started.            a=pc
-  kPreexecEnd,     ///< Episode ended.                          a=pc b=used ns c=stolen credit
-  kCtxSwitch,      ///< Context switch charged.                 b=cost ns
-  kAsyncConvert,   ///< Fault converted to asynchronous mode.   a=vpn/key
-  kDmaComplete,    ///< DMA transfer completion (device pid).   a=bytes b=issue time c=direction
-  kSchedPick,      ///< Scheduler dispatched the process.
-  kSchedBlock,     ///< Process blocked on I/O.
-  kSchedWake,      ///< Blocked process became runnable.
-  kEvict,          ///< Frame reclaimed under pressure.         a=pfn b=vpn
-  kSwapIn,         ///< Swap slot read back from the device.    a=vpn
-  kSwapOut,        ///< Swap slot written to the device.        a=vpn
-  kPrefetchWalk,   ///< Prefetcher candidate walk.              a=victim b=slots examined c=walk ns
-  // Fault-injection resilience (see fault/fault_injector.h).  IoError and
-  // IoRetry live on the device timeline (kDevicePid) and are stamped with
-  // the future detection/repost time, like kDmaComplete.
-  kIoError,        ///< Demand read attempt failed.             a=vpn/key b=attempt c=direction
-  kIoRetry,        ///< Failed attempt reposted after backoff.  a=vpn/key b=attempt c=backoff ns
-  kDeadlineAbort,  ///< Watchdog aborted a sync busy-wait.      a=vpn b=waited window c=stolen
-  kModeFallback,   ///< Aborted fault fell back to async mode.  a=vpn b=remaining (background) ns
-  // Device-outage resilience (storage/device_health.h, vm/fallback_pool.h).
-  // HealthTransition lives on the device timeline (kDevicePid); the pool
-  // events carry the owning process.
-  kHealthTransition, ///< Health FSM edge taken.                a=from b=to (DeviceHealth)
-  kPoolStore,      ///< Page compressed into the fallback pool. a=vpn b=compress ns
-  kPoolLoad,       ///< Demand read served from the pool.       a=vpn b=decompress ns
-  kPoolDrain,      ///< Pooled page written back on recovery.   a=vpn b=bytes
-  // Open-loop serving lifecycle (serve/scenario.h).  Every request event
-  // carries the request id in `a`; Arrive/Admit are stamped at the arrival
-  // instant, Done at retirement with the reconciled latency, and a
-  // SloViolation immediately follows the Done it indicts.
-  kRequestArrive,  ///< Open-loop request arrived.              a=req id b=tier
-  kRequestAdmit,   ///< Request admitted (process spawned).     a=req id b=tier
-  kRequestDone,    ///< Request retired.                        a=req id b=latency ns c=tier
-  kSloViolation,   ///< Retired request broke its tier SLO.     a=req id b=latency ns c=slo ns
+/// How the Chrome exporter (obs/trace_json.h) renders a kind: paired B/E
+/// slices for the fault and pre-execute windows, complete (X) slices for
+/// windows recorded at their end with a duration in `b`, and
+/// thread-scoped instants for the point-in-time markers.
+enum class ChromePhase : std::uint8_t { kBegin, kEnd, kComplete, kInstant };
+
+/// Which timeline a kind lives on; decides which ordering invariants the
+/// checker (obs/invariant_checker.h) applies to it.
+enum class Timeline : std::uint8_t {
+  kProcess,           ///< per-pid append order + makespan bound
+  kDeviceCompletion,  ///< stamped with the (future) completion; ts >= issue
+  kDeviceRetry,       ///< future detection/repost stamp; exempt from both
 };
 
-/// Derived from the lexically-last enumerator so adding a kind cannot leave
-/// the count stale; the static_assert is the tripwire a reviewer sees when
-/// the enum grows (update it together with kind_name(), the Chrome-trace
-/// mapping in trace_json.cpp, and the invariant checker — its_lint's
-/// registry rules enforce all four).
-inline constexpr std::size_t kNumEventKinds =
-    static_cast<std::size_t>(EventKind::kSloViolation) + 1;
-static_assert(kNumEventKinds == 29,
-              "EventKind grew: extend kind_name(), trace_json.cpp, and "
-              "invariant_checker.cpp, then bump this count");
+/// The one list of event kinds: X(kind, "name", ChromePhase, "Chrome slice
+/// name", Timeline), in wire order.  The enum, kNumEventKinds and the
+/// kind_info() table are all generated from it, so a new kind is one row.
+/// Each row's description and operand legend sit in the block comment
+/// above it (a line comment would swallow the continuation backslash).
+// clang-format off
+#define ITS_EVENT_KINDS(X)                                                                     \
+  /* Major fault entered the handler.        a=vpn b=device health at entry */                 \
+  X(kFaultBegin,       "fault_begin",       kBegin,    "fault",             kProcess)          \
+  /* Fault resolved (page mapped).           a=vpn b=busy-wait window c=stolen */              \
+  X(kFaultEnd,         "fault_end",         kEnd,      "fault",             kProcess)          \
+  /* Sync wait on a page-cache page.         a=page key b=wait c=stolen */                     \
+  X(kFileWait,         "file_wait",         kComplete, "file_wait",         kProcess)          \
+  /* Page posted to DMA by a prefetcher.     a=vpn/key b=source (PrefetchSource) */            \
+  X(kPrefetchIssue,    "prefetch_issue",    kInstant,  "prefetch_issue",    kProcess)          \
+  /* Minor fault consumed a prefetched page. a=vpn */                                          \
+  X(kPrefetchHit,      "prefetch_hit",      kInstant,  "prefetch_hit",      kProcess)          \
+  /* Pre-execute episode started.            a=pc */                                           \
+  X(kPreexecBegin,     "preexec_begin",     kBegin,    "preexec",           kProcess)          \
+  /* Episode ended.                          a=pc b=used ns c=stolen credit */                 \
+  X(kPreexecEnd,       "preexec_end",       kEnd,      "preexec",           kProcess)          \
+  /* Context switch charged.                 b=cost ns */                                      \
+  X(kCtxSwitch,        "ctx_switch",        kComplete, "ctx_switch",        kProcess)          \
+  /* Fault converted to asynchronous mode.   a=vpn/key */                                      \
+  X(kAsyncConvert,     "async_convert",     kInstant,  "async_convert",     kProcess)          \
+  /* DMA transfer completion (device pid).   a=bytes b=issue time c=direction */               \
+  X(kDmaComplete,      "dma_complete",      kInstant,  "dma_complete",      kDeviceCompletion) \
+  /* Scheduler dispatched the process. */                                                      \
+  X(kSchedPick,        "sched_pick",        kInstant,  "sched_pick",        kProcess)          \
+  /* Process blocked on I/O. */                                                                \
+  X(kSchedBlock,       "sched_block",       kInstant,  "sched_block",       kProcess)          \
+  /* Blocked process became runnable. */                                                       \
+  X(kSchedWake,        "sched_wake",        kInstant,  "sched_wake",        kProcess)          \
+  /* Frame reclaimed under pressure.         a=pfn b=vpn */                                    \
+  X(kEvict,            "evict",             kInstant,  "evict",             kProcess)          \
+  /* Swap slot read back from the device.    a=vpn */                                          \
+  X(kSwapIn,           "swap_in",           kInstant,  "swap_in",           kProcess)          \
+  /* Swap slot written to the device.        a=vpn */                                          \
+  X(kSwapOut,          "swap_out",          kInstant,  "swap_out",          kProcess)          \
+  /* Prefetcher candidate walk.              a=victim b=slots examined c=walk ns */            \
+  X(kPrefetchWalk,     "prefetch_walk",     kInstant,  "prefetch_walk",     kProcess)          \
+  /* Fault-injection resilience (fault/fault_injector.h).  IoError and IoRetry                 \
+     live on the device timeline (kDevicePid) and are stamped with the future                  \
+     detection/repost time, like kDmaComplete.  They are exempt from per-pid                   \
+     order and the makespan bound: a prefetched read may still be erroring out                 \
+     after the last process finished. */                                                       \
+  /* Demand read attempt failed.             a=vpn/key b=attempt c=direction */                \
+  X(kIoError,          "io_error",          kInstant,  "io_error",          kDeviceRetry)      \
+  /* Failed attempt reposted after backoff.  a=vpn/key b=attempt c=backoff ns */               \
+  X(kIoRetry,          "io_retry",          kInstant,  "io_retry",          kDeviceRetry)      \
+  /* Watchdog aborted a sync busy-wait.      a=vpn b=waited window c=stolen */                 \
+  X(kDeadlineAbort,    "deadline_abort",    kInstant,  "deadline_abort",    kProcess)          \
+  /* Aborted fault fell back to async mode.  a=vpn b=remaining (background) ns */              \
+  X(kModeFallback,     "mode_fallback",     kInstant,  "mode_fallback",     kProcess)          \
+  /* Device-outage resilience (storage/device_health.h, vm/fallback_pool.h).                   \
+     HealthTransition lives on the device timeline (kDevicePid); the pool                      \
+     events carry the owning process. */                                                       \
+  /* Health FSM edge taken.                  a=from b=to (DeviceHealth) */                     \
+  X(kHealthTransition, "health_transition", kInstant,  "health_transition", kProcess)          \
+  /* Page compressed into the fallback pool. a=vpn b=compress ns */                            \
+  X(kPoolStore,        "pool_store",        kInstant,  "pool_store",        kProcess)          \
+  /* Demand read served from the pool.       a=vpn b=decompress ns */                          \
+  X(kPoolLoad,         "pool_load",         kInstant,  "pool_load",         kProcess)          \
+  /* Pooled page written back on recovery.   a=vpn b=bytes */                                  \
+  X(kPoolDrain,        "pool_drain",        kInstant,  "pool_drain",        kProcess)          \
+  /* Open-loop serving lifecycle (serve/scenario.h).  Every request event                      \
+     carries the request id in `a`; Arrive/Admit are stamped at the arrival                    \
+     instant, Done at retirement with the reconciled latency, and a                            \
+     SloViolation immediately follows the Done it indicts.  Done is drawn as                   \
+     a complete slice spanning arrival to retirement. */                                       \
+  /* Open-loop request arrived.              a=req id b=tier */                                \
+  X(kRequestArrive,    "request_arrive",    kInstant,  "request_arrive",    kProcess)          \
+  /* Request admitted (process spawned).     a=req id b=tier */                                \
+  X(kRequestAdmit,     "request_admit",     kInstant,  "request_admit",     kProcess)          \
+  /* Request retired.                        a=req id b=latency ns c=tier */                   \
+  X(kRequestDone,      "request_done",      kComplete, "request_done",      kProcess)          \
+  /* Retired request broke its tier SLO.     a=req id b=latency ns c=slo ns */                 \
+  X(kSloViolation,     "slo_violation",     kInstant,  "slo_violation",     kProcess)
+// clang-format on
 
-std::string_view kind_name(EventKind k);
+/// Generated from ITS_EVENT_KINDS: to add a kind, add a row to the table.
+enum class EventKind : std::uint8_t {
+#define ITS_EVENT_KIND_ENUM(kind, name, phase, slice, timeline) kind,
+  ITS_EVENT_KINDS(ITS_EVENT_KIND_ENUM)
+#undef ITS_EVENT_KIND_ENUM
+};
+
+/// One row of ITS_EVENT_KINDS, as the exporter and the checker read it.
+struct EventKindInfo {
+  std::string_view name;
+  ChromePhase phase;
+  std::string_view slice;  ///< Chrome slice name (B/E pairs share one).
+  Timeline timeline;
+};
+
+/// The number of rows in ITS_EVENT_KINDS.
+inline constexpr std::size_t kNumEventKinds =
+#define ITS_EVENT_KIND_ONE(kind, name, phase, slice, timeline) +1
+    (0 ITS_EVENT_KINDS(ITS_EVENT_KIND_ONE));
+#undef ITS_EVENT_KIND_ONE
+
+/// The row for `k`.  A byte past the table (a corrupted or version-skewed
+/// trace) reads as "unknown", rendered as an instant; the checker rejects
+/// it before consulting the timeline.
+inline const EventKindInfo& kind_info(EventKind k) {
+  static constexpr EventKindInfo kRows[] = {
+#define ITS_EVENT_KIND_INFO(kind, name, phase, slice, timeline) \
+  {name, ChromePhase::phase, slice, Timeline::timeline},
+      ITS_EVENT_KINDS(ITS_EVENT_KIND_INFO)
+#undef ITS_EVENT_KIND_INFO
+  };
+  static constexpr EventKindInfo kUnknown{"unknown", ChromePhase::kInstant,
+                                          "unknown", Timeline::kProcess};
+  const auto i = static_cast<std::size_t>(k);
+  return i < kNumEventKinds ? kRows[i] : kUnknown;
+}
+
+inline std::string_view kind_name(EventKind k) { return kind_info(k).name; }
 
 /// Origin of a kPrefetchIssue, carried in Event::b.
 enum class PrefetchSource : std::uint8_t {

@@ -27,57 +27,6 @@ struct OpenFault {
   its::SimTime begin = 0;
 };
 
-/// Which timeline an event lives on — decides which ordering invariants
-/// apply to it.  Exhaustive on purpose (no default): adding an EventKind
-/// without deciding its timeline is exactly the drift -Wswitch and
-/// its_lint's reg-invariant rule exist to catch.
-enum class Timeline : std::uint8_t {
-  kProcess,           ///< per-pid append order + makespan bound
-  kDeviceCompletion,  ///< stamped with the (future) completion; ts >= issue
-  kDeviceRetry,       ///< future detection/repost stamp; exempt from both
-};
-
-Timeline timeline_of(EventKind k) {
-  switch (k) {
-    case EventKind::kDmaComplete:
-      return Timeline::kDeviceCompletion;
-    case EventKind::kIoError:
-    case EventKind::kIoRetry:
-      // Exempt from per-pid append order and the makespan bound (a
-      // prefetched read may still be erroring out after the last process
-      // finished).
-      return Timeline::kDeviceRetry;
-    case EventKind::kFaultBegin:
-    case EventKind::kFaultEnd:
-    case EventKind::kFileWait:
-    case EventKind::kPrefetchIssue:
-    case EventKind::kPrefetchHit:
-    case EventKind::kPreexecBegin:
-    case EventKind::kPreexecEnd:
-    case EventKind::kCtxSwitch:
-    case EventKind::kAsyncConvert:
-    case EventKind::kSchedPick:
-    case EventKind::kSchedBlock:
-    case EventKind::kSchedWake:
-    case EventKind::kEvict:
-    case EventKind::kSwapIn:
-    case EventKind::kSwapOut:
-    case EventKind::kPrefetchWalk:
-    case EventKind::kDeadlineAbort:
-    case EventKind::kModeFallback:
-    case EventKind::kHealthTransition:
-    case EventKind::kPoolStore:
-    case EventKind::kPoolLoad:
-    case EventKind::kPoolDrain:
-    case EventKind::kRequestArrive:
-    case EventKind::kRequestAdmit:
-    case EventKind::kRequestDone:
-    case EventKind::kSloViolation:
-      return Timeline::kProcess;
-  }
-  return Timeline::kProcess;
-}
-
 /// Serving-lifecycle progress of one request id (arrive → admit → done).
 /// A request that arrives and never admits is a reject; a request that
 /// admits must retire before the trace ends.
@@ -174,7 +123,7 @@ CheckResult check_invariants(const EventTrace& trace, const RunTotals& m,
     }
 
     // (1) per-pid time ordering, in recording order.
-    switch (timeline_of(e.kind)) {
+    switch (kind_info(e.kind).timeline) {
       case Timeline::kDeviceCompletion:
         if (e.ts < e.b)
           fail(fmt("event %zu: DMA completion at %" PRIu64

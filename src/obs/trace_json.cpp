@@ -35,95 +35,6 @@ std::string escape(std::string_view s) {
   return out;
 }
 
-/// The slice name a duration/complete event renders under.  Exhaustive on
-/// purpose (no default): -Wswitch and its_lint's reg-chrome-map rule both
-/// force a decision here when EventKind grows.
-std::string_view slice_name(EventKind k) {
-  switch (k) {
-    case EventKind::kFaultBegin:
-    case EventKind::kFaultEnd:
-      return "fault";
-    case EventKind::kPreexecBegin:
-    case EventKind::kPreexecEnd:
-      return "preexec";
-    case EventKind::kFileWait:
-    case EventKind::kPrefetchIssue:
-    case EventKind::kPrefetchHit:
-    case EventKind::kCtxSwitch:
-    case EventKind::kAsyncConvert:
-    case EventKind::kDmaComplete:
-    case EventKind::kSchedPick:
-    case EventKind::kSchedBlock:
-    case EventKind::kSchedWake:
-    case EventKind::kEvict:
-    case EventKind::kSwapIn:
-    case EventKind::kSwapOut:
-    case EventKind::kPrefetchWalk:
-    case EventKind::kIoError:
-    case EventKind::kIoRetry:
-    case EventKind::kDeadlineAbort:
-    case EventKind::kModeFallback:
-    case EventKind::kHealthTransition:
-    case EventKind::kPoolStore:
-    case EventKind::kPoolLoad:
-    case EventKind::kPoolDrain:
-    case EventKind::kRequestArrive:
-    case EventKind::kRequestAdmit:
-    case EventKind::kRequestDone:
-    case EventKind::kSloViolation:
-      return kind_name(k);
-  }
-  return kind_name(k);
-}
-
-/// Chrome trace_event phase for each kind: paired B/E slices for the fault
-/// and pre-execute windows, complete (X) slices for windows recorded at
-/// their end with a duration in `b`, and thread-scoped instants for the
-/// point-in-time markers.
-enum class Phase : std::uint8_t { kBegin, kEnd, kComplete, kInstant };
-
-Phase phase_of(EventKind k) {
-  switch (k) {
-    case EventKind::kFaultBegin:
-    case EventKind::kPreexecBegin:
-      return Phase::kBegin;
-    case EventKind::kFaultEnd:
-    case EventKind::kPreexecEnd:
-      return Phase::kEnd;
-    case EventKind::kCtxSwitch:
-    case EventKind::kFileWait:
-      return Phase::kComplete;
-    case EventKind::kPrefetchIssue:
-    case EventKind::kPrefetchHit:
-    case EventKind::kAsyncConvert:
-    case EventKind::kDmaComplete:
-    case EventKind::kSchedPick:
-    case EventKind::kSchedBlock:
-    case EventKind::kSchedWake:
-    case EventKind::kEvict:
-    case EventKind::kSwapIn:
-    case EventKind::kSwapOut:
-    case EventKind::kPrefetchWalk:
-    case EventKind::kIoError:
-    case EventKind::kIoRetry:
-    case EventKind::kDeadlineAbort:
-    case EventKind::kModeFallback:
-    case EventKind::kHealthTransition:
-    case EventKind::kPoolStore:
-    case EventKind::kPoolLoad:
-    case EventKind::kPoolDrain:
-    case EventKind::kRequestArrive:
-    case EventKind::kRequestAdmit:
-    case EventKind::kSloViolation:
-      return Phase::kInstant;
-    case EventKind::kRequestDone:
-      // Retirement carries the whole request latency in `b`; render it as
-      // a complete slice spanning arrival → done on the process track.
-      return Phase::kComplete;
-  }
-  return Phase::kInstant;
-}
-
 }  // namespace
 
 void write_chrome_trace(std::ostream& os, const EventTrace& trace,
@@ -156,20 +67,21 @@ void write_chrome_trace(std::ostream& os, const EventTrace& trace,
   for (const Event& e : trace.events()) {
     name_track(e.pid);
     sep();
-    os << "{\"name\":\"" << slice_name(e.kind) << "\",";
-    switch (phase_of(e.kind)) {
-      case Phase::kBegin:
+    const EventKindInfo& info = kind_info(e.kind);
+    os << "{\"name\":\"" << info.slice << "\",";
+    switch (info.phase) {
+      case ChromePhase::kBegin:
         os << "\"ph\":\"B\",\"ts\":" << us(e.ts);
         break;
-      case Phase::kEnd:
+      case ChromePhase::kEnd:
         os << "\"ph\":\"E\",\"ts\":" << us(e.ts);
         break;
-      case Phase::kComplete:
+      case ChromePhase::kComplete:
         // The recorded stamp is the window's end; draw the slice over it.
         os << "\"ph\":\"X\",\"ts\":" << us(e.ts >= e.b ? e.ts - e.b : 0)
            << ",\"dur\":" << us(e.b);
         break;
-      case Phase::kInstant:
+      case ChromePhase::kInstant:
         os << "\"ph\":\"i\",\"s\":\"t\",\"ts\":" << us(e.ts);
         break;
     }

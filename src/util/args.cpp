@@ -1,6 +1,7 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -43,14 +44,16 @@ bool Args::has(std::string_view name) const {
 std::uint64_t Args::get_u64(std::string_view name, std::uint64_t def) const {
   auto v = get(name);
   if (!v || v->empty()) return def;
-  try {
-    std::size_t pos = 0;
-    std::uint64_t out = std::stoull(*v, &pos);
-    if (pos != v->size()) throw std::invalid_argument("trailing characters");
-    return out;
-  } catch (const std::exception&) {
+  // from_chars takes digits only: no sign, no whitespace, no wrap-around
+  // ("-1" is not 2^64-1).
+  const char* end = v->data() + v->size();
+  std::uint64_t out = 0;
+  auto [stop, ec] = std::from_chars(v->data(), end, out);
+  if (ec == std::errc::result_out_of_range)
+    throw std::invalid_argument("--" + std::string(name) + ": out of range: " + *v);
+  if (ec != std::errc() || stop != end)
     throw std::invalid_argument("--" + std::string(name) + ": not an integer: " + *v);
-  }
+  return out;
 }
 
 unsigned Args::get_unsigned(std::string_view name, unsigned def) const {

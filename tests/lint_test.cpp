@@ -240,89 +240,16 @@ TEST(LintRegistry, DriftedTreeFlagsEveryRegistryRule) {
       registry_inputs_for_root(fixture("registry_drift")), &errors);
   EXPECT_TRUE(errors.empty());
 
-  EXPECT_TRUE(has_finding(findings, Rule::kRegKindName, "kGamma"));
-  EXPECT_TRUE(has_finding(findings, Rule::kRegChromeMap, "kBeta"));
-  EXPECT_TRUE(has_finding(findings, Rule::kRegInvariant, "kAlpha"));
-  EXPECT_TRUE(has_finding(findings, Rule::kRegKindCount, "kGamma"));
-  EXPECT_TRUE(has_finding(findings, Rule::kRegKindCount, "static_assert"));
   EXPECT_TRUE(has_finding(findings, Rule::kRegMetricsReport, "dropped_events"));
   EXPECT_TRUE(has_finding(findings, Rule::kRegConfigDoc, "hidden_knob"));
 
   // Nothing in-sync may be flagged.
-  EXPECT_FALSE(has_finding(findings, Rule::kRegKindName, "kAlpha"));
   EXPECT_FALSE(has_finding(findings, Rule::kRegMetricsReport, "major_faults"));
   EXPECT_FALSE(has_finding(findings, Rule::kRegConfigDoc, "'knob'"));
 }
 
-TEST(LintRegistry, UnregisteredOutageKindsTripCountAndChromeMap) {
-  // The device-outage kinds (kHealthTransition, kPoolStore, kPoolLoad,
-  // kPoolDrain) appended to the enum without bumping the registry: four
-  // reg-chrome-map findings (one per kind, whole-file) plus two exact
-  // reg-kind-count findings — the stale `kNumEventKinds = 2` definition
-  // on line 18 and the `static_assert` still pinning 2 on line 19.
-  std::vector<std::string> errors;
-  auto findings = scan_registry(
-      registry_inputs_for_root(fixture("registry_outage_drift")), &errors);
-  EXPECT_TRUE(errors.empty());
-
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kRegChromeMap, 0},   // kHealthTransition
-      {Rule::kRegChromeMap, 0},   // kPoolStore
-      {Rule::kRegChromeMap, 0},   // kPoolLoad
-      {Rule::kRegChromeMap, 0},   // kPoolDrain
-      {Rule::kRegKindCount, 18},  // inline constexpr ... kNumEventKinds = 2;
-      {Rule::kRegKindCount, 19},  // static_assert(kNumEventKinds == 2, ...)
-  };
-  EXPECT_EQ(locations(findings), want);
-
-  for (const char* kind :
-       {"kHealthTransition", "kPoolStore", "kPoolLoad", "kPoolDrain"}) {
-    EXPECT_TRUE(has_finding(findings, Rule::kRegChromeMap, kind)) << kind;
-    // Fully registered elsewhere: named and replayed.
-    EXPECT_FALSE(has_finding(findings, Rule::kRegKindName, kind)) << kind;
-    EXPECT_FALSE(has_finding(findings, Rule::kRegInvariant, kind)) << kind;
-  }
-}
-
-TEST(LintRegistry, HalfRegisteredServeKindsTripNameInvariantAndAssert) {
-  // The mirror image of the outage-drift tree: the four request-lifecycle
-  // kinds are mapped for Chrome but unnamed in kind_name(), the checker
-  // misses kSloViolation, and the count is correctly re-derived from the
-  // last enumerator while the static_assert still pins 2.
-  std::vector<std::string> errors;
-  auto findings = scan_registry(
-      registry_inputs_for_root(fixture("registry_serve_drift")), &errors);
-  EXPECT_TRUE(errors.empty());
-
-  std::vector<std::pair<Rule, std::size_t>> want = {
-      {Rule::kRegKindName, 0},    // kRequestArrive
-      {Rule::kRegKindName, 0},    // kRequestAdmit
-      {Rule::kRegKindName, 0},    // kRequestDone
-      {Rule::kRegKindName, 0},    // kSloViolation
-      {Rule::kRegInvariant, 0},   // kSloViolation never replayed
-      {Rule::kRegKindCount, 20},  // static_assert(kNumEventKinds == 2, ...)
-  };
-  EXPECT_EQ(locations(findings), want);
-
-  for (const char* kind :
-       {"kRequestArrive", "kRequestAdmit", "kRequestDone", "kSloViolation"}) {
-    EXPECT_TRUE(has_finding(findings, Rule::kRegKindName, kind)) << kind;
-    // The Chrome-trace mapping is complete in this tree.
-    EXPECT_FALSE(has_finding(findings, Rule::kRegChromeMap, kind)) << kind;
-  }
-  EXPECT_TRUE(has_finding(findings, Rule::kRegInvariant, "kSloViolation"));
-  EXPECT_FALSE(has_finding(findings, Rule::kRegInvariant, "kRequestDone"));
-}
-
 // ---------------------------------------------------------------------------
 // Parsers.
-
-TEST(LintParsers, EnumBodyInOrder) {
-  auto f = load_fixture("registry_drift/src/obs/event_trace.h");
-  auto kinds = parse_enum_body(f, "EventKind");
-  std::vector<std::string> want = {"kAlpha", "kBeta", "kGamma"};
-  EXPECT_EQ(kinds, want);
-}
 
 TEST(LintParsers, StructFieldsSkipFunctionsAndKeepBraceInit) {
   auto f = SourceFile::from_text(
@@ -366,6 +293,21 @@ TEST(LintExitCodes, PerRuleAndLowestWins) {
   LintResult errored;
   errored.errors.push_back("unreadable");
   EXPECT_EQ(errored.exit_code(), kExitUsage);
+}
+
+TEST(LintExitCodes, RetiredCodes15Through18NameNoRule) {
+  // The EventKind registry rules are gone (one X-macro table generates
+  // what they checked); codes 15-18 stay unused and 19 keeps its rule.
+  for (std::size_t i = 5; i <= 8; ++i) {
+    EXPECT_EQ(exit_code_for(static_cast<Rule>(i)), static_cast<int>(10 + i));
+    EXPECT_TRUE(rule_id(static_cast<Rule>(i)).empty()) << "code " << 10 + i;
+  }
+  EXPECT_EQ(exit_code_for(Rule::kRegMetricsReport), 19);
+  EXPECT_EQ(exit_code_for(Rule::kRegConfigDoc), 20);
+  Rule r = Rule::kDetRand;
+  for (const char* id :
+       {"reg-kind-name", "reg-chrome-map", "reg-invariant", "reg-kind-count"})
+    EXPECT_FALSE(rule_from_id(id, &r)) << id;
 }
 
 TEST(LintExitCodes, RetiredCodes28Through32NameNoRule) {

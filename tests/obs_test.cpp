@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <iterator>
 #include <random>
 #include <set>
@@ -16,6 +18,10 @@
 #include "obs/event_trace.h"
 #include "obs/invariant_checker.h"
 #include "obs/trace_json.h"
+
+#ifndef ITS_GOLDEN_DIR
+#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
+#endif
 
 namespace its::obs {
 namespace {
@@ -174,6 +180,17 @@ TEST(InvariantChecker, RejectsOutOfOrderTimeline) {
   EXPECT_FALSE(check_invariants(et, m).ok());
 }
 
+TEST(InvariantChecker, RejectsUnknownKindByte) {
+  EventTrace et(std::size_t{1} << 18);
+  SimMetrics m = run_traced(1, PolicyKind::kIts, tiny_experiment(), et);
+  ASSERT_FALSE(et.empty());
+  et.events_mut()[0].kind = static_cast<EventKind>(200);
+  CheckResult res = check_invariants(et, m);
+  EXPECT_NE(res.summary().find("event 0: unknown EventKind 200"),
+            std::string::npos)
+      << res.summary();
+}
+
 TEST(InvariantChecker, RejectsPerturbedMetrics) {
   EventTrace et(std::size_t{1} << 18);
   SimMetrics m = run_traced(1, PolicyKind::kIts, tiny_experiment(), et);
@@ -280,6 +297,46 @@ TEST(TraceJson, EscapesProcessNames) {
   // Still parseable.
   std::stringstream in(out);
   EXPECT_FALSE(parse_chrome_trace(in).empty());
+}
+
+// Pins the per-kind Chrome mapping (slice name, phase, track) byte for
+// byte: one event of every kind plus one out-of-range kind byte, as a
+// corrupted trace would carry.  Regenerate after an intentional change:
+//   ITS_UPDATE_GOLDEN=1 ./build/tests/obs_test
+TEST(TraceJson, EveryKindMatchesGolden) {
+  const char* path = ITS_GOLDEN_DIR "/chrome_kinds.golden";
+  const auto bad = static_cast<EventKind>(200);
+  EXPECT_EQ(kind_name(bad), "unknown");
+
+  EventTrace et;
+  for (std::size_t i = 0; i <= kNumEventKinds; ++i) {
+    const EventKind k = i < kNumEventKinds ? static_cast<EventKind>(i) : bad;
+    const std::uint64_t n = i + 1;
+    et.record(k, 10000 * n + 7, static_cast<its::Pid>(i % 3), n, 100 * n,
+              1000 * n);
+  }
+  ExportOptions opts;
+  opts.policy = "ITS";
+  opts.process_names = {"p0", "p1"};
+  std::ostringstream os;
+  write_chrome_trace(os, et, opts);
+  const std::string actual = os.str();
+
+  if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");
+      update != nullptr && std::string(update) == "1") {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path
+                         << " — run ITS_UPDATE_GOLDEN=1 ./obs_test";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str())
+      << "the per-kind Chrome mapping changed; if intentional, regenerate "
+         "with ITS_UPDATE_GOLDEN=1 ./obs_test and commit the diff";
 }
 
 }  // namespace

@@ -105,8 +105,11 @@ TEST(Args, PositionalCollected) {
 }
 
 TEST(Args, MalformedNumberThrows) {
-  auto a = make_args({"--n=12x"});
-  EXPECT_THROW(a.get_u64("n", 0), std::invalid_argument);
+  // Signs and whitespace are malformed too: "-1" used to parse as 2^64 - 1.
+  for (const char* v : {"12x", "-1", "+3", " 7", "7 "}) {
+    auto a = make_args({"--n", v});
+    EXPECT_THROW(a.get_u64("n", 0), std::invalid_argument) << '"' << v << '"';
+  }
   auto b = make_args({"--f=1.2.3"});
   EXPECT_THROW(b.get_double("f", 0), std::invalid_argument);
 }
@@ -127,6 +130,10 @@ TEST(Args, EntirelyNonNumericThrowsInvalidArgument) {
   // Out-of-range numerics are also translated.
   auto c = make_args({"--n=99999999999999999999999999"});
   EXPECT_THROW(c.get_u64("n", 0), std::invalid_argument);
+  auto d = make_args({"--n=18446744073709551616"});
+  EXPECT_THROW(d.get_u64("n", 0), std::invalid_argument);
+  auto e = make_args({"--n=18446744073709551615"});
+  EXPECT_EQ(e.get_u64("n", 0), 18446744073709551615u);
 }
 
 TEST(Args, UnsignedRejectsValuesAboveUintMax) {

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -375,16 +376,22 @@ TEST(ServeInvariants, CheckerRejectsSloViolationWithinSlo) {
 // its_cli --slo-p99 gate: exit code 6 on breach, 0 when the gate holds.
 
 #ifdef ITS_CLI_BIN
-int run_cli(const std::string& flags) {
+/// Exit status of its_cli run with exactly `flags`.
+int cli_exit(const std::string& flags) {
   // Pin the fault profile so a hostile CI environment cannot turn the gate
   // exit into an outage exit (codes 4/5).
   std::string cmd = std::string("ITS_FAULT_PROFILE=none \"") + ITS_CLI_BIN +
-                    "\" --scenario=serve --policy=ITS --duration-ms=5 "
-                    "--arrival-rate=1000 --admit-limit=8 " +
-                    flags + " > /dev/null 2>&1";
+                    "\" " + flags + " > /dev/null 2>&1";
   int rc = std::system(cmd.c_str());
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
+}
+
+int run_cli(const std::string& flags) {
+  return cli_exit(
+      "--scenario=serve --policy=ITS --duration-ms=5 --arrival-rate=1000 "
+      "--admit-limit=8 " +
+      flags);
 }
 
 TEST(ServeCli, SloGateBreachExitsSix) {
@@ -394,6 +401,36 @@ TEST(ServeCli, SloGateBreachExitsSix) {
 
 TEST(ServeCli, SloGateHoldsExitsZero) {
   EXPECT_EQ(run_cli("--slo-p99=1000000000000"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// its_cli numeric flags: a value that does not fit is a usage error (exit
+// 2) before any run starts, never a silent wrap.
+
+TEST(CliFlags, OutOfRangeValuesExitTwo) {
+  const std::string lk =
+      (std::filesystem::temp_directory_path() / "its_cli_flags.lk").string();
+  std::ofstream(lk) << " L 4000,8\n S 4008,8\n";
+  const std::string serve = "--scenario=serve --policy=ITS ";
+  const std::string batch = "--batch=1 --policy=ITS --length-scale=0.02 ";
+  const std::string trace = "--trace=" + lk + " ";
+  for (const std::string& flags : {
+           // Past UINT_MAX: 2^32 + 1 used to narrow to 1.
+           serve + "--admit-limit=4294967297",
+           batch + "--degree=4294967297",
+           // Scaled products past 2^64 - 1; 2^44 + 1 MiB used to wrap to
+           // 1 MiB.
+           serve + "--duration-ms=18446744073710",
+           batch + "--media-us=18446744073709552",
+           batch + "--ctx-us=18446744073709552",
+           trace + "--dram-mb=17592186044417",
+           // Signed input: "-1" used to parse as 2^64 - 1.
+           serve + "--max-requests=-1",
+           batch + "--seed=-1",
+       })
+    EXPECT_EQ(cli_exit(flags), 2) << flags;
+  EXPECT_EQ(cli_exit(trace + "--dram-mb=64"), 0);
+  std::filesystem::remove(lk);
 }
 #endif  // ITS_CLI_BIN
 

@@ -9,11 +9,11 @@
 //      hash-order iteration feeding the trace/metrics path.  These do not
 //      fail a test on the machine that introduced them; they fail weeks
 //      later on someone else's libstdc++.
-//   2. *Registry drift* — the hand-maintained tables that must stay in
-//      sync with `enum class EventKind` (kind_name, the Chrome exporter,
-//      the invariant rules), with `SimMetrics` (the CSV report), and with
-//      `SimConfig` (the docs).  A forgotten entry corrupts accounting or
-//      documentation without tripping any runtime check.
+//   2. *Registry drift* — the hand-maintained lists that must stay in
+//      sync with `SimMetrics` (the CSV report) and with `SimConfig` (the
+//      docs).  A forgotten entry corrupts accounting or documentation
+//      without tripping any runtime check.  (The EventKind tables need no
+//      rule: one X-macro generates them all.)
 //
 // This tool scans `src/` at lint time (ctest label `lint`, CI job `lint`)
 // with a small comment/string-stripping tokenizer and flags both classes.
@@ -42,11 +42,10 @@ enum class Rule : std::size_t {
   kDetUnorderedIter,  ///< Hash-order iteration in event/metrics files.
   kDetPtrKey,         ///< Pointer-keyed ordered containers.
   kDetDoubleNs,       ///< double accumulation of nanosecond quantities.
-  kRegKindName,       ///< EventKind enumerator missing from kind_name().
-  kRegChromeMap,      ///< EventKind enumerator missing from trace_json.cpp.
-  kRegInvariant,      ///< EventKind enumerator unreferenced by the checker.
-  kRegKindCount,      ///< kNumEventKinds disagrees with the enum body.
-  kRegMetricsReport,  ///< SimMetrics counter missing from report.cpp.
+  // 5-8 (exit codes 15-18) belonged to the retired EventKind registry
+  // rules (reg-kind-name, reg-chrome-map, reg-invariant, reg-kind-count);
+  // they stay unused so no later rule's exit code moves.
+  kRegMetricsReport = 9,  ///< SimMetrics counter missing from report.cpp.
   kRegConfigDoc,      ///< SimConfig field undocumented in docs//README.
   kBadSuppress,       ///< Malformed/unreasoned its-lint: allow(...).
   kArchLayer,         ///< Module edge absent from docs/architecture.layers.
@@ -130,10 +129,6 @@ std::vector<Finding> scan_determinism(const SourceFile& f);
 
 /// The files the registry rules read, resolved relative to --root.
 struct RegistryInputs {
-  std::string event_trace_h;       ///< src/obs/event_trace.h
-  std::string event_trace_cpp;     ///< src/obs/event_trace.cpp
-  std::string trace_json_cpp;      ///< src/obs/trace_json.cpp
-  std::string invariant_cpp;       ///< src/obs/invariant_checker.cpp
   std::string metrics_h;           ///< src/core/metrics.h
   std::string report_cpp;          ///< src/core/report.cpp
   std::string config_h;            ///< src/core/config.h
@@ -145,11 +140,6 @@ RegistryInputs registry_inputs_for_root(const std::string& root);
 
 std::vector<Finding> scan_registry(const RegistryInputs& in,
                                    std::vector<std::string>* errors);
-
-/// Parses `enum class <name> : ... { ... };` enumerator names, in order.
-/// Exposed for tests.  Returns empty when the enum is absent.
-std::vector<std::string> parse_enum_body(const SourceFile& f,
-                                         std::string_view enum_name);
 
 /// Parses the field names of `struct <name> { ... };`.  Member functions
 /// and nested type definitions are skipped.  Exposed for tests.

@@ -14,7 +14,8 @@
 //
 // Exit codes: 0 clean, 1 usage/IO error, 10+N when rule N fired.  When
 // several distinct rules fire, the exit code is the LOWEST firing rule's
-// code (see --list-rules for the mapping).  Codes 28-32 are retired.
+// code (see --list-rules for the mapping).  Codes 15-18 and 28-32 are
+// retired.
 #include "lint.h"
 
 #include <iostream>
@@ -34,8 +35,8 @@ int list_rules() {
               << its::lint::rule_summary(r) << "\n";
   }
   std::cout << "\nWhen several distinct rules fire in one run, the exit "
-               "code is the lowest\nfiring rule's code.  Codes 28-32 are "
-               "retired.\n";
+               "code is the lowest\nfiring rule's code.  Codes 15-18 and "
+               "28-32 are retired.\n";
   return its::lint::kExitClean;
 }
 

@@ -1,10 +1,11 @@
 // Registry rules: the cross-file consistency checks.
 //
-// The repo keeps several registries that must agree with a single source
-// of truth: the EventKind enum drives kind_name(), the Chrome exporter and
-// the invariant checker; SimMetrics drives the CSV report; SimConfig
-// drives the configuration docs.  Each rule parses the source-of-truth
-// declaration and greps the dependent files for every entry.
+// Two registries must agree with a source of truth the compiler cannot
+// generate them from: SimMetrics drives the CSV report, and SimConfig
+// drives the configuration prose in docs/.  Each rule parses the
+// source-of-truth struct and greps the dependent files for every field.
+// (EventKind needs no rule: its names, Chrome phases and checker
+// timelines are generated from the ITS_EVENT_KINDS table.)
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
@@ -31,54 +32,6 @@ std::string joined_code(const SourceFile& f) {
   }
   return text;
 }
-
-/// 1-based line of `offset` in `text`.
-std::size_t line_at(std::string_view text, std::size_t offset) {
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < offset && i < text.size(); ++i)
-    if (text[i] == '\n') ++line;
-  return line;
-}
-
-std::size_t find_word_from(std::string_view text, std::string_view word,
-                           std::size_t from) {
-  std::size_t at = from;
-  while ((at = text.find(word, at)) != std::string_view::npos) {
-    bool left_ok = at == 0 || !ident_char(text[at - 1]);
-    std::size_t end = at + word.size();
-    bool right_ok = end >= text.size() || !ident_char(text[end]);
-    if (left_ok && right_ok) return at;
-    at = end;
-  }
-  return std::string_view::npos;
-}
-
-}  // namespace
-
-std::vector<std::string> parse_enum_body(const SourceFile& f,
-                                         std::string_view enum_name) {
-  std::string text = joined_code(f);
-  std::vector<std::string> out;
-  std::size_t at = text.find("enum class " + std::string(enum_name));
-  if (at == std::string::npos) return out;
-  std::size_t open = text.find('{', at);
-  std::size_t close = text.find('}', open);
-  if (open == std::string::npos || close == std::string::npos) return out;
-  // Enumerators: identifier at the start of each comma-separated entry.
-  std::size_t i = open + 1;
-  while (i < close) {
-    while (i < close && !ident_char(text[i])) ++i;
-    std::size_t start = i;
-    while (i < close && ident_char(text[i])) ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-    // Skip any `= value` part up to the entry's comma.
-    while (i < close && text[i] != ',') ++i;
-    ++i;
-  }
-  return out;
-}
-
-namespace {
 
 /// Offset of the `}` matching the `{` at `open` (npos on imbalance).
 std::size_t match_brace(std::string_view text, std::size_t open) {
@@ -159,10 +112,6 @@ RegistryInputs registry_inputs_for_root(const std::string& root) {
     fs::path p = fs::path(root) / rel;
     return fs::exists(p) ? p.string() : std::string();
   };
-  in.event_trace_h = pick("src/obs/event_trace.h");
-  in.event_trace_cpp = pick("src/obs/event_trace.cpp");
-  in.trace_json_cpp = pick("src/obs/trace_json.cpp");
-  in.invariant_cpp = pick("src/obs/invariant_checker.cpp");
   in.metrics_h = pick("src/core/metrics.h");
   in.report_cpp = pick("src/core/report.cpp");
   in.config_h = pick("src/core/config.h");
@@ -191,121 +140,11 @@ bool load_or_report(const std::string& path, SourceFile* f,
   return false;
 }
 
-/// reg-kind-name / reg-chrome-map / reg-invariant: every enumerator must
-/// be referenced (as a whole word) in the dependent file.
-void check_enum_coverage(const std::vector<std::string>& kinds,
-                         const SourceFile& dep, Rule rule,
-                         std::string_view role,
-                         std::vector<Finding>* out) {
-  std::string text = joined_code(dep);
-  for (const std::string& k : kinds) {
-    if (find_word_from(text, k, 0) == std::string::npos)
-      out->push_back({dep.path, 0, rule,
-                      "EventKind::" + k + " has no " + std::string(role) +
-                          " — add one (or an explicit default with a "
-                          "suppression) before shipping the new kind"});
-  }
-}
-
-/// reg-kind-count: the count definition must be derived from the
-/// lexically-last enumerator and static_assert-checked.
-void check_kind_count(const std::vector<std::string>& kinds,
-                      const SourceFile& header, std::vector<Finding>* out) {
-  std::string text = joined_code(header);
-  std::size_t def = text.find("kNumEventKinds =");
-  if (def == std::string::npos) {
-    out->push_back({header.path, 0, Rule::kRegKindCount,
-                    "kNumEventKinds is not defined next to EventKind"});
-    return;
-  }
-  std::size_t semi = text.find(';', def);
-  std::string_view stmt = std::string_view(text).substr(def, semi - def);
-  const std::string& last = kinds.back();
-  bool derived =
-      stmt.find("EventKind::" + last) != std::string_view::npos;
-  if (!derived) {
-    // A literal count is tolerated iff it equals the enumerator count.
-    std::size_t digits = 0;
-    std::size_t value = 0;
-    for (char c : stmt) {
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        value = value * 10 + static_cast<std::size_t>(c - '0');
-        ++digits;
-      } else if (digits != 0) {
-        break;
-      }
-    }
-    if (digits == 0 || value != kinds.size())
-      out->push_back(
-          {header.path, line_at(text, def), Rule::kRegKindCount,
-           "kNumEventKinds must be derived from the last enumerator "
-           "(EventKind::" +
-               last + " + 1) or equal the enum's " +
-               std::to_string(kinds.size()) + " entries"});
-  }
-  std::size_t assert_at = text.find("static_assert");
-  bool assert_checks = false;
-  while (assert_at != std::string::npos) {
-    std::size_t end = text.find(';', assert_at);
-    std::string_view a = std::string_view(text).substr(assert_at,
-                                                       end - assert_at);
-    if (a.find("kNumEventKinds") != std::string_view::npos) {
-      assert_checks = true;
-      // The literal inside must match the real count, otherwise the
-      // compile-time check is asserting the wrong registry size.
-      std::size_t value = 0, digits = 0;
-      for (char c : a) {
-        if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-          value = value * 10 + static_cast<std::size_t>(c - '0');
-          ++digits;
-        } else if (digits != 0) {
-          break;
-        }
-      }
-      if (digits != 0 && value != kinds.size())
-        out->push_back({header.path, line_at(text, assert_at),
-                        Rule::kRegKindCount,
-                        "static_assert pins the EventKind count at " +
-                            std::to_string(value) + " but the enum has " +
-                            std::to_string(kinds.size()) + " enumerators"});
-      break;
-    }
-    assert_at = text.find("static_assert", assert_at + 1);
-  }
-  if (!assert_checks)
-    out->push_back({header.path, 0, Rule::kRegKindCount,
-                    "no static_assert checks kNumEventKinds against the "
-                    "enumerator count"});
-}
-
 }  // namespace
 
 std::vector<Finding> scan_registry(const RegistryInputs& in,
                                    std::vector<std::string>* errors) {
   std::vector<Finding> out;
-
-  SourceFile trace_h;
-  std::vector<std::string> kinds;
-  if (load_or_report(in.event_trace_h, &trace_h, errors)) {
-    kinds = parse_enum_body(trace_h, "EventKind");
-    if (kinds.empty())
-      errors->push_back(in.event_trace_h +
-                        ": could not parse enum class EventKind");
-  }
-
-  if (!kinds.empty()) {
-    SourceFile dep;
-    if (load_or_report(in.event_trace_cpp, &dep, errors))
-      check_enum_coverage(kinds, dep, Rule::kRegKindName,
-                          "kind_name() entry", &out);
-    if (load_or_report(in.trace_json_cpp, &dep, errors))
-      check_enum_coverage(kinds, dep, Rule::kRegChromeMap,
-                          "Chrome-trace mapping", &out);
-    if (load_or_report(in.invariant_cpp, &dep, errors))
-      check_enum_coverage(kinds, dep, Rule::kRegInvariant,
-                          "invariant-checker reference", &out);
-    check_kind_count(kinds, trace_h, &out);
-  }
 
   SourceFile metrics_h;
   if (load_or_report(in.metrics_h, &metrics_h, errors)) {
@@ -318,7 +157,7 @@ std::vector<Finding> scan_registry(const RegistryInputs& in,
     if (!fields.empty() && load_or_report(in.report_cpp, &report, errors)) {
       std::string text = joined_code(report);
       for (const std::string& field : fields) {
-        if (find_word_from(text, field, 0) == std::string::npos)
+        if (!contains_word(text, field))
           out.push_back({report.path, 0, Rule::kRegMetricsReport,
                          "SimMetrics counter '" + field +
                              "' is accumulated but never reported — add "
@@ -350,7 +189,7 @@ std::vector<Finding> scan_registry(const RegistryInputs& in,
         }
       }
       for (const std::string& field : fields) {
-        if (find_word_from(all_docs, field, 0) == std::string::npos)
+        if (!contains_word(all_docs, field))
           out.push_back({in.config_h, 0, Rule::kRegConfigDoc,
                          "SimConfig field '" + field +
                              "' is not documented in README.md or docs/ "

@@ -32,14 +32,7 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"det-double-ns",
      "double-precision accumulation of nanosecond quantities outside "
      "src/util/stats.* (silent rounding corrupts accounting)"},
-    {"reg-kind-name",
-     "EventKind enumerator without a kind_name() entry in event_trace.cpp"},
-    {"reg-chrome-map",
-     "EventKind enumerator without a Chrome-trace mapping in trace_json.cpp"},
-    {"reg-invariant",
-     "EventKind enumerator never referenced by invariant_checker.cpp"},
-    {"reg-kind-count",
-     "kNumEventKinds/static_assert out of sync with the EventKind body"},
+    {}, {}, {}, {},  // retired EventKind registry rules (exit codes 15-18)
     {"reg-metrics-report",
      "SimMetrics counter missing from report.cpp"},
     {"reg-config-doc",
