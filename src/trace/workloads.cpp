@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <string>
 
 namespace its::trace {
 
@@ -41,16 +42,25 @@ class Builder {
   Builder(const WorkloadSpec& spec, const GeneratorConfig& cfg)
       : trace_(std::string(spec.name)),
         rng_(cfg.seed, static_cast<std::uint64_t>(spec.id) + 0x9e37ull),
-        budget_(static_cast<std::uint64_t>(static_cast<double>(spec.records) *
-                                           cfg.length_scale)),
-        footprint_(scale(spec.footprint_bytes, cfg.footprint_scale)),
-        hot_(scale(spec.hot_bytes, cfg.footprint_scale)) {
+        budget_(scaled(spec.records, cfg.length_scale, "length_scale")),
+        footprint_(page_scale(spec.footprint_bytes, cfg.footprint_scale)),
+        hot_(page_scale(spec.hot_bytes, cfg.footprint_scale)) {
     trace_.reserve(budget_);
   }
 
-  static its::Bytes scale(its::Bytes bytes, double f) {
-    // its-lint: allow(units-narrow): footprint scaling factor is a double
-    auto v = static_cast<std::uint64_t>(static_cast<double>(bytes) * f);
+  /// `n * f`, truncated.  Throws unless `f > 0` (NaN fails that too) and
+  /// the product fits 64 bits: the float-to-integer cast is undefined
+  /// behaviour otherwise.
+  static std::uint64_t scaled(std::uint64_t n, double f, const char* field) {
+    const double v = static_cast<double>(n) * f;
+    if (!(f > 0.0) || !(v < 0x1p64))
+      throw std::invalid_argument(std::string("GeneratorConfig::") + field +
+                                  " must be > 0 and keep sizes within 64 bits");
+    return static_cast<std::uint64_t>(v);
+  }
+
+  static its::Bytes page_scale(its::Bytes bytes, double f) {
+    const std::uint64_t v = scaled(bytes, f, "footprint_scale");
     return std::max<std::uint64_t>(v & ~its::kPageOffsetMask, its::kPageSize);
   }
 

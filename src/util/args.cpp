@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -71,9 +72,13 @@ double Args::get_double(std::string_view name, double def) const {
     std::size_t pos = 0;
     double out = std::stod(*v, &pos);
     if (pos != v->size()) throw std::invalid_argument("trailing characters");
+    // stod accepts "nan" and "inf"; no flag means either, and a NaN slips
+    // through every range check downstream.
+    if (!std::isfinite(out)) throw std::invalid_argument("not finite");
     return out;
   } catch (const std::exception&) {
-    throw std::invalid_argument("--" + std::string(name) + ": not a number: " + *v);
+    throw std::invalid_argument("--" + std::string(name) +
+                                ": not a finite number: " + *v);
   }
 }
 

@@ -27,6 +27,7 @@ class Args {
   std::uint64_t get_u64(std::string_view name, std::uint64_t def) const;
   /// get_u64 that also throws when the value does not fit `unsigned`.
   unsigned get_unsigned(std::string_view name, unsigned def) const;
+  /// Also throws on "nan"/"inf": no flag takes a non-finite value.
   double get_double(std::string_view name, double def) const;
   std::string get_string(std::string_view name, std::string def) const;
 

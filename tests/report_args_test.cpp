@@ -158,5 +158,17 @@ TEST(Args, DoubleParsing) {
   EXPECT_DOUBLE_EQ(a.get_double("scale", 1.0), 0.25);
 }
 
+TEST(Args, NonFiniteDoubleThrowsNamingTheFlag) {
+  // stod parses all of these; a NaN used to reach a float-to-integer cast.
+  for (const char* v : {"nan", "-nan", "inf", "-inf", "infinity"}) {
+    try {
+      make_args({"--scale", v}).get_double("scale", 1.0);
+      ADD_FAILURE() << v << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--scale"), std::string::npos) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace its

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy.h"
@@ -376,13 +378,19 @@ TEST(ServeInvariants, CheckerRejectsSloViolationWithinSlo) {
 // its_cli --slo-p99 gate: exit code 6 on breach, 0 when the gate holds.
 
 #ifdef ITS_CLI_BIN
-/// Exit status of its_cli run with exactly `flags`.
-int cli_exit(const std::string& flags) {
+/// Exit status of its_cli run with exactly `flags`; `err`, if given,
+/// receives what it printed to stderr.
+int cli_exit(const std::string& flags, std::string* err = nullptr) {
   // Pin the fault profile so a hostile CI environment cannot turn the gate
   // exit into an outage exit (codes 4/5).
   std::string cmd = std::string("ITS_FAULT_PROFILE=none \"") + ITS_CLI_BIN +
-                    "\" " + flags + " > /dev/null 2>&1";
-  int rc = std::system(cmd.c_str());
+                    "\" " + flags + " 2>&1 > /dev/null";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  std::string out;
+  for (int c; (c = std::fgetc(pipe)) != EOF;) out += static_cast<char>(c);
+  int rc = ::pclose(pipe);
+  if (err != nullptr) *err = out;
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
 }
@@ -431,6 +439,22 @@ TEST(CliFlags, OutOfRangeValuesExitTwo) {
     EXPECT_EQ(cli_exit(flags), 2) << flags;
   EXPECT_EQ(cli_exit(trace + "--dram-mb=64"), 0);
   std::filesystem::remove(lk);
+}
+
+// A non-finite or non-positive scale is a usage error naming the flag or
+// generator field; each used to reach a float-to-integer cast.
+TEST(CliFlags, NonFiniteOrNonPositiveScalesExitTwoNamingTheFlag) {
+  const std::string batch = "--batch=1 --policy=ITS ";
+  const std::pair<std::string, std::string> cases[] = {
+      {batch + "--length-scale=nan", "--length-scale"},
+      {batch + "--length-scale=-1", "length_scale"},
+      {"--scenario=serve --policy=ITS --overcommit=nan", "--overcommit"},
+  };
+  for (const auto& [flags, name] : cases) {
+    std::string err;
+    EXPECT_EQ(cli_exit(flags, &err), 2) << flags;
+    EXPECT_NE(err.find(name), std::string::npos) << flags << ": " << err;
+  }
 }
 #endif  // ITS_CLI_BIN
 

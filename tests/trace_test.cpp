@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -313,6 +314,26 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& param_info) {
       return std::string(spec_for(param_info.param).name);
     });
+
+TEST(Workloads, NonPositiveOrNonFiniteScalesThrowNamingTheField) {
+  // Each used to reach a float-to-integer cast: undefined behaviour.
+  auto error_of = [](const GeneratorConfig& cfg) -> std::string {
+    try {
+      generate(WorkloadId::kXz, cfg);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    GeneratorConfig len, fp;
+    len.length_scale = bad;
+    fp.length_scale = 0.01;
+    fp.footprint_scale = bad;
+    EXPECT_NE(error_of(len).find("length_scale"), std::string::npos) << bad;
+    EXPECT_NE(error_of(fp).find("footprint_scale"), std::string::npos) << bad;
+  }
+}
 
 TEST(Workloads, DataIntensiveRegionsAreSparse) {
   // The graph workloads must leave untouched holes in their regions —
