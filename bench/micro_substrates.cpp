@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the substrate data structures:
-// page-table walks, cache lookups, TLB, pre-execute cache, pre-execute
-// episodes, prefetcher collection, DMA posting, and trace generation
-// throughput.
+// page-table walks, cache lookups, page invalidation, TLB, pre-execute
+// cache, pre-execute episodes, prefetcher collection, DMA posting, and
+// trace generation throughput.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <vector>
 
@@ -70,6 +71,27 @@ void BM_HierarchyAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyAccess);
 
+// Page eviction's cache sweep, timed alone.  Frames 0..4095 (16 MiB, twice
+// the LLC) are warmed first, so frames from the first quarter have left
+// every level.  Arg 0: a cold frame from that quarter.  Arg 1: a random
+// frame warmed at every level just before the timed call.
+void BM_InvalidatePage(benchmark::State& state) {
+  mem::CacheHierarchy h;
+  for (its::Pfn f = 0; f < 4096; ++f) h.warm(f << its::kPageShift, its::kPageSize);
+  const bool warm = state.range(0) != 0;
+  util::Rng rng(8);
+  for (auto _ : state) {
+    const its::PhysAddr frame = rng.below(warm ? 4096 : 1024) << its::kPageShift;
+    if (warm) h.warm(frame, its::kPageSize);
+    const auto t0 = std::chrono::steady_clock::now();
+    h.invalidate_page(frame);
+    const auto t1 = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  benchmark::DoNotOptimize(h.l1().stats().invalidations);
+}
+BENCHMARK(BM_InvalidatePage)->Arg(0)->Arg(1)->UseManualTime();
+
 void BM_TlbLookup(benchmark::State& state) {
   mem::Tlb tlb(64);
   for (its::Vpn v = 0; v < 64; ++v) tlb.insert(v);
@@ -77,6 +99,19 @@ void BM_TlbLookup(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(tlb.lookup(rng.below(128)));
 }
 BENCHMARK(BM_TlbLookup);
+
+// The page-walk path: a lookup that misses, then the insert that evicts the
+// least recently used of 64 entries.
+void BM_TlbMissInsert(benchmark::State& state) {
+  mem::Tlb tlb(64);
+  its::Vpn next = static_cast<its::Vpn>(state.range(0));
+  for (auto _ : state) {
+    const std::uint64_t key = its::pid_key(1, next++);
+    benchmark::DoNotOptimize(tlb.lookup(key));
+    tlb.insert(key);
+  }
+}
+BENCHMARK(BM_TlbMissInsert)->Arg(0x10000);
 
 void BM_PreexecCacheStoreLoad(benchmark::State& state) {
   mem::PreexecCache px;

@@ -110,6 +110,9 @@ void Simulator::add_process(std::unique_ptr<Process> p) {
 void Simulator::add_process_at(its::SimTime start, std::unique_ptr<Process> p) {
   if (p->pid() != procs_.size())
     throw std::invalid_argument("Simulator: pids must be dense 0..n-1");
+  if (procs_.size() >= its::kMaxProcesses)
+    throw std::invalid_argument(
+        "Simulator: at most 65536 processes (pid keys hold 16 bits of pid)");
   // Register any files the trace reads or writes (shared namespace).
   for (auto [file, size] : p->trace().file_sizes()) files_.ensure_file(file, size);
   procs_.push_back(std::move(p));

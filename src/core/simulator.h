@@ -52,6 +52,8 @@ class Simulator {
 
   /// Transfers ownership of a PCB into the simulation.  Pids must be
   /// assigned 0..n-1 in insertion order (build_processes guarantees this).
+  /// Throws std::invalid_argument, changing nothing, on a pid out of order
+  /// or past its::kMaxProcesses.
   void add_process(std::unique_ptr<sched::Process> p);
 
   /// Like add_process, but defers the process's entry into the scheduler to

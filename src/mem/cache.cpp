@@ -3,105 +3,86 @@
 #include "util/types.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace its::mem {
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg) : cfg_(cfg) {
-  if (cfg.line_size == 0 || (cfg.line_size & (cfg.line_size - 1)) != 0)
-    throw std::invalid_argument("cache line size must be a power of two");
+  if (cfg.line_size < 2 || !std::has_single_bit(cfg.line_size))
+    throw std::invalid_argument("cache line size must be a power of two >= 2");
   if (cfg.ways == 0) throw std::invalid_argument("cache must have >= 1 way");
   std::uint64_t lines = cfg.size_bytes / cfg.line_size;
   if (lines < cfg.ways || lines % cfg.ways != 0)
     throw std::invalid_argument("cache size/ways mismatch");
   num_sets_ = static_cast<unsigned>(lines / cfg.ways);
-  ways_.assign(lines, Way{});
+  tags_.assign(lines, kEmpty);
+  stamps_.assign(lines, 0);
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_size));
-  pow2_sets_ = (num_sets_ & (num_sets_ - 1)) == 0;
-  if (pow2_sets_) {
-    set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_));
-    set_mask_ = num_sets_ - 1;
+  pow2_sets_ = std::has_single_bit(num_sets_);
+  if (pow2_sets_) set_mask_ = num_sets_ - 1;
+}
+
+bool SetAssocCache::touch_or_insert(std::uint64_t line) {
+  const std::size_t base = set_base(line);
+  const std::uint64_t* t = &tags_[base];
+  const unsigned ways = cfg_.ways;
+  unsigned empty = ways;
+  for (unsigned w = 0; w < ways; ++w) {
+    if (t[w] == line) {
+      stamps_[base + w] = ++tick_;
+      return true;
+    }
+    if (t[w] == kEmpty) empty = w;  // the last empty way wins
   }
+  std::size_t victim = base + empty;
+  if (empty == ways) {  // set full: the oldest stamp, lowest way on ties
+    // Selects rather than branches: which way is oldest is data, and a
+    // mispredicted branch per way costs more than the scan.
+    const std::uint64_t* s = &stamps_[base];
+    std::uint64_t oldest = s[0];
+    unsigned v = 0;
+    for (unsigned w = 1; w < ways; ++w) {
+      const bool older = s[w] < oldest;
+      oldest = older ? s[w] : oldest;
+      v = older ? w : v;
+    }
+    victim = base + v;
+    ++stats_.evictions;
+    clear_resident(tags_[victim]);
+  }
+  mark_resident(line);
+  tags_[victim] = line;
+  stamps_[victim] = ++tick_;
+  return false;
 }
 
 bool SetAssocCache::access(its::VirtAddr addr) {
-  std::uint64_t line = line_of(addr);
-  unsigned set = set_index(line);
-  std::uint64_t tag = tag_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
-  Way* victim = base;
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      ++stats_.hits;
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
+  if (touch_or_insert(line_of(addr))) {
+    ++stats_.hits;
+    return true;
   }
   ++stats_.misses;
-  if (victim->valid) {
-    ++stats_.evictions;
-    region_sub(line_of_way(victim->tag, set));
-  }
-  region_add(line);
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = ++tick_;
   return false;
 }
+
+void SetAssocCache::fill(its::VirtAddr addr) { touch_or_insert(line_of(addr)); }
 
 bool SetAssocCache::probe(its::VirtAddr addr) const {
-  std::uint64_t line = line_of(addr);
-  unsigned set = set_index(line);
-  std::uint64_t tag = tag_of(line);
-  const Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
+  const std::uint64_t line = line_of(addr);
+  const std::uint64_t* t = &tags_[set_base(line)];
   for (unsigned w = 0; w < cfg_.ways; ++w)
-    if (base[w].valid && base[w].tag == tag) return true;
+    if (t[w] == line) return true;
   return false;
-}
-
-void SetAssocCache::fill(its::VirtAddr addr) {
-  std::uint64_t line = line_of(addr);
-  unsigned set = set_index(line);
-  std::uint64_t tag = tag_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
-  Way* victim = base;
-  for (unsigned w = 0; w < cfg_.ways; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      return;  // already resident
-    }
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  if (victim->valid) {
-    ++stats_.evictions;
-    region_sub(line_of_way(victim->tag, set));
-  }
-  region_add(line);
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = ++tick_;
 }
 
 bool SetAssocCache::invalidate_line(std::uint64_t line) {
-  unsigned set = set_index(line);
-  std::uint64_t tag = tag_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
+  std::uint64_t* t = &tags_[set_base(line)];
   for (unsigned w = 0; w < cfg_.ways; ++w) {
-    if (base[w].valid && base[w].tag == tag) {
-      base[w].valid = false;
+    if (t[w] == line) {
+      t[w] = kEmpty;
       ++stats_.invalidations;
-      region_sub(line);
+      clear_resident(line);
       return true;
     }
   }
@@ -113,54 +94,31 @@ bool SetAssocCache::invalidate(its::VirtAddr addr) {
 }
 
 void SetAssocCache::invalidate_range(std::uint64_t base, std::uint64_t len) {
-  if (len == 0) return;
+  if (len == 0 || resident_.empty()) return;
   const std::uint64_t first = line_of(base);
   const std::uint64_t last = line_of(base + len - 1);
-  if (pow2_sets_ && tag_of(first) == tag_of(last)) {
-    // Page-eviction fast path: an aligned range within one tag block maps
-    // to contiguous sets under one shared tag, so the per-line set/tag
-    // arithmetic collapses into a single sequential sweep of the way
-    // array.  Each set holds at most one copy of a tag (access/fill probe
-    // before inserting), so this clears exactly the lines the slow path
-    // would — and when the range sits inside one region whose resident
-    // count is already zero (the common cache-cold CLOCK victim), there is
-    // nothing to sweep at all.
-    const std::uint64_t region = region_of_line(first);
-    const bool one_region = region == region_of_line(last);
-    std::uint32_t left = 0xffffffffu;
-    if (one_region)
-      left = region < region_lines_.size() ? region_lines_[region] : 0;
-    if (left == 0) return;
-    const std::uint64_t tag = tag_of(first);
-    const unsigned s0 = set_index(first);
-    Way* w = &ways_[static_cast<std::size_t>(s0) * cfg_.ways];
-    const std::size_t n = static_cast<std::size_t>(last - first + 1) * cfg_.ways;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (w[i].valid && w[i].tag == tag) {
-        w[i].valid = false;
-        ++stats_.invalidations;
-        region_sub(line_of_way(tag, s0 + static_cast<unsigned>(i / cfg_.ways)));
-        if (--left == 0) break;
-      }
+  // Regions past the end of resident_ have never held a line.
+  const std::uint64_t r_end = std::min<std::uint64_t>(last >> 6, resident_.size() - 1);
+  for (std::uint64_t r = first >> 6; r <= r_end; ++r) {
+    const unsigned lo = r == first >> 6 ? static_cast<unsigned>(first & 63) : 0;
+    const unsigned hi = r == last >> 6 ? static_cast<unsigned>(last & 63) : 63;
+    std::uint64_t hit = resident_[r] & (~0ull << lo) & (~0ull >> (63 - hi));
+    while (hit != 0) {
+      invalidate_line((r << 6) | static_cast<unsigned>(std::countr_zero(hit)));
+      hit &= hit - 1;
     }
-    return;
   }
-  for (std::uint64_t line = first; line <= last; ++line) invalidate_line(line);
 }
 
 void SetAssocCache::invalidate_all() {
-  for (auto& w : ways_)
-    if (w.valid) {
-      w.valid = false;
-      ++stats_.invalidations;
-    }
-  std::fill(region_lines_.begin(), region_lines_.end(), 0);
+  stats_.invalidations += lines_resident();
+  std::fill(tags_.begin(), tags_.end(), kEmpty);
+  std::fill(resident_.begin(), resident_.end(), 0);
 }
 
 std::uint64_t SetAssocCache::lines_resident() const {
-  std::uint64_t n = 0;
-  for (const auto& w : ways_) n += w.valid ? 1 : 0;
-  return n;
+  return static_cast<std::uint64_t>(
+      std::count_if(tags_.begin(), tags_.end(), [](std::uint64_t t) { return t != kEmpty; }));
 }
 
 }  // namespace its::mem

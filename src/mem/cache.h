@@ -63,60 +63,54 @@ class SetAssocCache {
   std::uint64_t lines_resident() const;
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< Higher = more recently used.
-    bool valid = false;
-  };
+  /// Tag of an empty way.  Ways hold whole line numbers, and lines are at
+  /// least two bytes, so no line number is all ones.
+  static constexpr std::uint64_t kEmpty = ~0ull;
 
-  // addr→line/set/tag splits sit on the page-eviction invalidate path
-  // (hundreds of millions of calls in a serving run), where a hardware
-  // divide by a runtime divisor costs more than the whole way scan.  The
-  // ctor precomputes shift/mask forms; the modulo fallback only runs for
-  // non-power-of-two set counts, which no shipped config uses.
+  // addr→line/set splits sit on the page-eviction invalidate path, where a
+  // hardware divide by a runtime divisor costs more than the whole way
+  // scan.  The ctor precomputes shift/mask forms; the modulo fallback only
+  // runs for non-power-of-two set counts, which no shipped config uses.
   std::uint64_t line_of(its::VirtAddr addr) const {
     return addr >> line_shift_;
   }
-  unsigned set_index(std::uint64_t line) const {
-    if (pow2_sets_) return static_cast<unsigned>(line & set_mask_);
-    return static_cast<unsigned>(line % num_sets_);
-  }
-  std::uint64_t tag_of(std::uint64_t line) const {
-    if (pow2_sets_) return line >> set_shift_;
-    return line / num_sets_;
+  /// Index of the first way of `line`'s set.
+  std::size_t set_base(std::uint64_t line) const {
+    const std::uint64_t set = pow2_sets_ ? line & set_mask_ : line % num_sets_;
+    return static_cast<std::size_t>(set) * cfg_.ways;
   }
 
+  /// Refreshes `line` if resident, else inserts it (evicting the set's
+  /// last empty way, else its oldest); returns whether it was resident.
+  bool touch_or_insert(std::uint64_t line);
   bool invalidate_line(std::uint64_t line);
 
-  // Exact resident-line count per 4 KiB region, maintained on every insert,
-  // replacement and invalidation.  Page eviction invalidates its frame at
-  // every level, but CLOCK victims are usually cache-cold by then — the
-  // count lets invalidate_range answer "nothing resident" in O(1) instead
-  // of sweeping ways, and stop a warm sweep the moment the region drains.
-  std::uint64_t region_of_line(std::uint64_t line) const {
-    return line >> (its::kPageShift - line_shift_);
+  // One bit per line of each 64-line region, set exactly while the line is
+  // resident.  Page eviction invalidates its frame at every level, but
+  // CLOCK victims are usually cache-cold by then: invalidate_range visits
+  // only the set bits, so a cold page costs one load and a warm one only
+  // its resident lines.
+  void mark_resident(std::uint64_t line) {
+    const std::uint64_t r = line >> 6;
+    if (r >= resident_.size()) resident_.resize(r + 1, 0);
+    resident_[r] |= 1ull << (line & 63);
   }
-  void region_add(std::uint64_t line) {
-    const std::uint64_t r = region_of_line(line);
-    if (r >= region_lines_.size()) region_lines_.resize(r + 1, 0);
-    ++region_lines_[r];
-  }
-  void region_sub(std::uint64_t line) { --region_lines_[region_of_line(line)]; }
-  /// The victim's line number reconstructed from its slot: row-major layout
-  /// stores set implicitly, the tag the rest.
-  std::uint64_t line_of_way(std::uint64_t tag, unsigned set) const {
-    return tag * num_sets_ + set;
+  void clear_resident(std::uint64_t line) {
+    resident_[line >> 6] &= ~(1ull << (line & 63));
   }
 
   CacheConfig cfg_;
   unsigned num_sets_;
   unsigned line_shift_ = 0;
   bool pow2_sets_ = false;
-  unsigned set_shift_ = 0;
   std::uint64_t set_mask_ = 0;
   std::uint64_t tick_ = 0;
-  std::vector<Way> ways_;  ///< num_sets_ * cfg_.ways, row-major by set.
-  std::vector<std::uint32_t> region_lines_;
+  // num_sets_ * cfg_.ways each, row-major by set: the tags a probe compares
+  // sit side by side, and the LRU stamps (higher = more recent) are read
+  // only to touch a hit or choose a victim.
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::vector<std::uint64_t> resident_;  ///< Per 64-line region.
   CacheStats stats_;
 };
 

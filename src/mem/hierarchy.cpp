@@ -2,38 +2,36 @@
 
 #include "util/types.h"
 
-#include <algorithm>
+#include <bit>
 
 namespace its::mem {
 
 CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg)
-    : cfg_(cfg), l1_(cfg.l1), l2_(cfg.l2), llc_(cfg.llc) {}
+    : cfg_(cfg),
+      l1_(cfg.l1),
+      l2_(cfg.l2),
+      llc_(cfg.llc),
+      line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l1.line_size))) {}
 
 AccessResult CacheHierarchy::access_line(its::PhysAddr addr) {
+  // Each level that misses allocates the line as its newest entry, so a
+  // hit further down leaves it newest at every level above: no refill.
   if (l1_.access(addr)) return {HitLevel::kL1, cfg_.l1.hit_latency};
-  if (l2_.access(addr)) {
-    l1_.fill(addr);
+  if (l2_.access(addr))
     return {HitLevel::kL2, cfg_.l1.hit_latency + cfg_.l2.hit_latency};
-  }
-  if (llc_.access(addr)) {
-    l2_.fill(addr);
-    l1_.fill(addr);
+  if (llc_.access(addr))
     return {HitLevel::kLlc,
             cfg_.l1.hit_latency + cfg_.l2.hit_latency + cfg_.llc.hit_latency};
-  }
-  l2_.fill(addr);
-  l1_.fill(addr);
   return {HitLevel::kMemory, cfg_.l1.hit_latency + cfg_.l2.hit_latency +
                                  cfg_.llc.hit_latency + cfg_.dram_latency};
 }
 
 AccessResult CacheHierarchy::access(its::PhysAddr addr, unsigned size) {
-  unsigned line = cfg_.l1.line_size;
-  its::PhysAddr first = addr / line;
-  its::PhysAddr last = (addr + (size ? size - 1 : 0)) / line;
+  const std::uint64_t first = addr >> line_shift_;
+  const std::uint64_t last = (addr + (size ? size - 1 : 0)) >> line_shift_;
   AccessResult r = access_line(addr);
-  for (its::PhysAddr l = first + 1; l <= last; ++l) {
-    AccessResult r2 = access_line(l * line);
+  for (std::uint64_t l = first + 1; l <= last; ++l) {
+    AccessResult r2 = access_line(l << line_shift_);
     // Split accesses proceed in parallel on a real core; charge the slower.
     if (r2.latency > r.latency) r = r2;
   }
@@ -41,11 +39,10 @@ AccessResult CacheHierarchy::access(its::PhysAddr addr, unsigned size) {
 }
 
 void CacheHierarchy::warm(its::PhysAddr addr, unsigned size) {
-  unsigned line = cfg_.l1.line_size;
-  its::PhysAddr first = addr / line;
-  its::PhysAddr last = (addr + (size ? size - 1 : 0)) / line;
-  for (its::PhysAddr l = first; l <= last; ++l) {
-    its::PhysAddr a = l * line;
+  const std::uint64_t first = addr >> line_shift_;
+  const std::uint64_t last = (addr + (size ? size - 1 : 0)) >> line_shift_;
+  for (std::uint64_t l = first; l <= last; ++l) {
+    const its::PhysAddr a = l << line_shift_;
     llc_.fill(a);
     l2_.fill(a);
     l1_.fill(a);

@@ -67,6 +67,7 @@ class CacheHierarchy {
   SetAssocCache l1_;
   SetAssocCache l2_;
   SetAssocCache llc_;
+  unsigned line_shift_;  ///< log2 of the L1 line size, which splits accesses.
 };
 
 }  // namespace its::mem

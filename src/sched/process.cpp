@@ -8,7 +8,11 @@
 namespace its::sched {
 
 namespace {
-std::vector<its::Vpn> footprint_of(const trace::Trace& t) { return t.touched_pages(); }
+/// The trace, checked before the member initialisers read it.
+const trace::Trace& checked(const std::shared_ptr<const trace::Trace>& t) {
+  if (!t || t->empty()) throw std::invalid_argument("Process: trace must be non-empty");
+  return *t;
+}
 }  // namespace
 
 Process::Process(its::Pid pid, std::string name, int priority,
@@ -17,9 +21,6 @@ Process::Process(its::Pid pid, std::string name, int priority,
       name_(std::move(name)),
       priority_(priority),
       trace_(std::move(trace)),
-      mm_(pid, footprint_of(*trace_)) {
-  if (!trace_ || trace_->empty())
-    throw std::invalid_argument("Process: trace must be non-empty");
-}
+      mm_(pid, checked(trace_).touched_pages()) {}
 
 }  // namespace its::sched

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace its::serve {
@@ -122,6 +124,11 @@ ServeMetrics run_serve(const ServeConfig& cfg, core::PolicyKind policy,
 
   const std::vector<Request> reqs = generate_requests(cfg);
   if (reqs.empty()) return out;
+  // Each request is a process; fail before building any of them.
+  if (reqs.size() > its::kMaxProcesses)
+    throw std::invalid_argument("serve: " + std::to_string(reqs.size()) +
+                                " requests, but a simulation holds at most 65536 "
+                                "processes (cap them with max_requests)");
 
   core::SimConfig sim_cfg = cfg.sim;
   sim_cfg.dram_bytes = serve_dram_bytes(cfg);

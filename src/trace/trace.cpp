@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <mutex>
 #include <unordered_set>
 
 namespace its::trace {
@@ -12,7 +13,6 @@ namespace its::trace {
 TraceStats Trace::stats() const {
   TraceStats s;
   s.records = instrs_.size();
-  std::unordered_set<its::Vpn> pages;
   bool first_mem = true;
   for (const auto& i : instrs_) {
     if (i.op == Op::kCompute) {
@@ -42,34 +42,39 @@ TraceStats Trace::stats() const {
       s.min_addr = std::min(s.min_addr, i.addr);
       s.max_addr = std::max(s.max_addr, last);
     }
-    for (its::Vpn p = its::vpn_of(i.addr); p <= its::vpn_of(last); ++p) pages.insert(p);
   }
-  s.footprint_pages = pages.size();
+  s.footprint_pages = touched_pages().size();
   return s;
 }
 
-std::vector<std::pair<std::uint8_t, std::uint64_t>> Trace::file_sizes() const {
+const std::vector<std::pair<std::uint8_t, std::uint64_t>>& Trace::file_sizes() const {
+  const std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.have_files) return derived_.files;
   std::array<std::uint64_t, 256> ends{};
   for (const auto& i : instrs_) {
     if (!i.is_file()) continue;
     ends[i.src2] = std::max<std::uint64_t>(ends[i.src2], i.addr + i.size);
   }
-  std::vector<std::pair<std::uint8_t, std::uint64_t>> out;
+  derived_.files.clear();
   for (unsigned f = 0; f < ends.size(); ++f)
-    if (ends[f] != 0) out.emplace_back(static_cast<std::uint8_t>(f), ends[f]);
-  return out;
+    if (ends[f] != 0) derived_.files.emplace_back(static_cast<std::uint8_t>(f), ends[f]);
+  derived_.have_files = true;
+  return derived_.files;
 }
 
-std::vector<its::Vpn> Trace::touched_pages() const {
+const std::vector<its::Vpn>& Trace::touched_pages() const {
+  const std::lock_guard<std::mutex> lock(derived_.mu);
+  if (derived_.have_pages) return derived_.pages;
   std::unordered_set<its::Vpn> pages;
   for (const auto& i : instrs_) {
     if (!i.is_mem()) continue;
     its::VirtAddr last = i.addr + (i.size ? i.size - 1 : 0);
     for (its::Vpn p = its::vpn_of(i.addr); p <= its::vpn_of(last); ++p) pages.insert(p);
   }
-  std::vector<its::Vpn> out(pages.begin(), pages.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  derived_.pages.assign(pages.begin(), pages.end());
+  std::sort(derived_.pages.begin(), derived_.pages.end());
+  derived_.have_pages = true;
+  return derived_.pages;
 }
 
 }  // namespace its::trace

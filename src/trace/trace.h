@@ -6,8 +6,10 @@
 #include "util/types.h"
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace its::trace {
@@ -34,7 +36,10 @@ class Trace {
   explicit Trace(std::string name) : name_(std::move(name)) {}
 
   void reserve(std::size_t n) { instrs_.reserve(n); }
-  void push_back(const Instr& i) { instrs_.push_back(i); }
+  void push_back(const Instr& i) {
+    instrs_.push_back(i);
+    derived_.clear();
+  }
 
   const std::string& name() const { return name_; }
   void set_name(std::string n) { name_ = std::move(n); }
@@ -48,18 +53,52 @@ class Trace {
   /// O(footprint) memory for the distinct-page set).
   TraceStats stats() const;
 
-  /// Set of distinct virtual pages touched, sorted ascending.
-  std::vector<its::Vpn> touched_pages() const;
+  /// Set of distinct virtual pages touched, sorted ascending.  Computed on
+  /// first use and kept until the next push_back; safe to call from several
+  /// threads at once.
+  const std::vector<its::Vpn>& touched_pages() const;
 
   /// Per-file maximum end offset referenced by file I/O records, as
   /// (file id, size) pairs — used to register files before simulation.
-  std::vector<std::pair<std::uint8_t, std::uint64_t>> file_sizes() const;
+  /// Kept like touched_pages().
+  const std::vector<std::pair<std::uint8_t, std::uint64_t>>& file_sizes() const;
 
   friend bool operator==(const Trace&, const Trace&) = default;
 
  private:
+  /// What touched_pages() and file_sizes() computed for the current
+  /// records.  Farm workers share one const Trace, so filling it takes the
+  /// mutex.  A copy or move starts empty (the source of a move is emptied
+  /// too, as its records are gone) and == ignores it.
+  class Derived {
+   public:
+    Derived() = default;
+    Derived(const Derived&) {}
+    Derived(Derived&& from) noexcept { from.clear(); }
+    Derived& operator=(const Derived&) {
+      clear();
+      return *this;
+    }
+    Derived& operator=(Derived&& from) noexcept {
+      clear();
+      from.clear();
+      return *this;
+    }
+    friend bool operator==(const Derived&, const Derived&) { return true; }
+
+    /// Only with the Trace held exclusively (it is being changed).
+    void clear() { have_pages = have_files = false; }
+
+    std::mutex mu;
+    bool have_pages = false;
+    bool have_files = false;
+    std::vector<its::Vpn> pages;
+    std::vector<std::pair<std::uint8_t, std::uint64_t>> files;
+  };
+
   std::string name_;
   std::vector<Instr> instrs_;
+  mutable Derived derived_;
 };
 
 }  // namespace its::trace

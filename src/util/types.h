@@ -197,6 +197,10 @@ constexpr std::uint64_t line_of(std::uint64_t a) { return a >> kCacheLineShift; 
 /// An invalid sentinel for page/frame numbers.
 inline constexpr std::uint64_t kInvalidPage = ~0ull;
 
+/// pid_key() keeps 16 bits of pid, so a simulation holds at most this many
+/// processes (pids 0..kMaxProcesses-1); a larger pid would alias pid 0.
+inline constexpr std::uint64_t kMaxProcesses = 1ull << 16;
+
 /// Packs a process id with a 48-bit page number or virtual address into one
 /// key (TLB tags, swap slots, pre-execute cache keys, arrival maps).
 /// Canonical x86-64 user addresses keep the payload below 2^48; the mask

@@ -5,10 +5,11 @@
 
 namespace its::vm {
 
-PageTable::PageTable() : pgd_(std::make_unique<Pgd>()) {}
+PageTable::PageTable() = default;
 PageTable::~PageTable() = default;
 
 Pte* PageTable::lookup(its::VirtAddr va) {
+  if (!pgd_) return nullptr;
   Pud* pud = pgd_->t[pgd_index(va)].get();
   if (!pud) return nullptr;
   Pmd* pmd = pud->t[pud_index(va)].get();
@@ -23,6 +24,7 @@ const Pte* PageTable::lookup(its::VirtAddr va) const {
 }
 
 Pte& PageTable::ensure(its::VirtAddr va) {
+  if (!pgd_) pgd_ = std::make_unique<Pgd>();
   auto& pud = pgd_->t[pgd_index(va)];
   if (!pud) {
     pud = std::make_unique<Pud>();
@@ -42,6 +44,7 @@ Pte& PageTable::ensure(its::VirtAddr va) {
 }
 
 unsigned PageTable::levels_mapped(its::VirtAddr va) const {
+  if (!pgd_) return 1;
   const Pud* pud = pgd_->t[pgd_index(va)].get();
   if (!pud) return 1;
   const Pmd* pmd = pud->t[pud_index(va)].get();

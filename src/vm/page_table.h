@@ -90,6 +90,9 @@ class PageTable {
     std::array<std::unique_ptr<Pud>, kEntriesPerLevel> t;
   };
 
+  // Allocated by the first ensure(): a process that touches no memory
+  // (a compute-only request) costs no 4 KiB root.  tables_ and
+  // levels_mapped() count the root as present either way.
   std::unique_ptr<Pgd> pgd_;
   std::uint64_t tables_ = 1;  // the PGD itself
 };

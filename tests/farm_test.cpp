@@ -24,6 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/batch.h"
@@ -32,6 +33,9 @@
 #include "core/report.h"
 #include "farm/farm.h"
 #include "fault/fault_injector.h"
+#include "sched/process.h"
+#include "trace/instr.h"
+#include "trace/trace.h"
 
 namespace its {
 namespace {
@@ -124,6 +128,44 @@ TEST(Farm, StressThousandsOfNoopTasks) {
     farm::run_indexed(8, n, [&](std::size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n + 1) / 2);
   }
+}
+
+TEST(Farm, SharedTraceFootprintIsOneResultForEveryWorker) {
+  // Farm workers build processes from one shared const trace; the first
+  // touched_pages()/file_sizes() call fills the trace's memo while other
+  // workers may be reading it (the TSAN job runs this).
+  auto t = std::make_shared<trace::Trace>("shared");
+  for (std::uint64_t i = 0; i < 512; ++i)
+    t->push_back(trace::Instr::load(0x560000000000ull + (i % 97) * 3 * its::kPageSize, 8, 1, 0));
+  t->push_back(trace::Instr::file_read(2, 0, 4096, 1));
+  const std::shared_ptr<const trace::Trace> shared = t;
+  const trace::Trace fresh = *shared;  // a copy starts without the memo
+  const std::vector<its::Vpn> want = fresh.touched_pages();
+  ASSERT_EQ(want.size(), 97u);
+
+  // The first four tasks to start wait for each other, so four workers
+  // reach the trace together instead of one draining every task.
+  std::atomic<int> started{0};
+  const std::vector<const std::vector<its::Vpn>*> seen =
+      farm::run_collect<const std::vector<its::Vpn>*>(4, 32, [&](std::size_t i) {
+        if (started.fetch_add(1) < 4)
+          while (started.load() < 4) std::this_thread::yield();
+        const sched::Process p(static_cast<its::Pid>(i), "p", 30, shared);
+        EXPECT_EQ(p.trace().file_sizes().size(), 1u);
+        return &shared->touched_pages();
+      });
+  for (const auto* pages : seen) {
+    EXPECT_EQ(pages, seen[0]);  // one memo, filled once
+    EXPECT_EQ(*pages, want);
+  }
+
+  // A copy that grows sees its new page; the shared original does not.
+  trace::Trace grown = *shared;
+  grown.push_back(trace::Instr::load(0x7f0000000000ull, 8, 1, 0));
+  EXPECT_EQ(grown.touched_pages().size(), want.size() + 1);
+  EXPECT_EQ(grown.touched_pages().back(), its::vpn_of(0x7f0000000000ull));
+  EXPECT_EQ(shared->touched_pages(), want);
+  EXPECT_TRUE(grown != *shared);
 }
 
 TEST(Farm, DefaultJobsHonoursItsJobsEnv) {

@@ -73,6 +73,41 @@ TEST(SetAssocCache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache({100, 3, 64, 1}), std::invalid_argument);
 }
 
+TEST(SetAssocCache, RejectsOneByteLines) {
+  EXPECT_THROW(SetAssocCache({1024, 2, 1, 1}), std::invalid_argument);
+}
+
+TEST(SetAssocCache, ThirtyTwoByteLinesSpanTwoRegionsPerPage) {
+  SetAssocCache c({16 * 1024, 4, 32, 1});  // 128 sets: a page is 128 lines
+  for (std::uint64_t a = 0x4000; a < 0x5000; a += 32) EXPECT_FALSE(c.access(a));
+  EXPECT_TRUE(c.access(0x403F));  // same 32-byte line as 0x4020
+  EXPECT_FALSE(c.access(0x5000));
+  EXPECT_TRUE(c.invalidate(0x4020));
+  EXPECT_FALSE(c.invalidate(0x4020));
+  c.invalidate_range(0x4000, its::kPageSize);
+  EXPECT_EQ(c.stats().invalidations, 128u);
+  EXPECT_EQ(c.lines_resident(), 1u);  // only 0x5000's line is left
+  EXPECT_TRUE(c.probe(0x5000));
+  for (std::uint64_t a = 0x4000; a < 0x5000; a += 32) EXPECT_FALSE(c.probe(a));
+}
+
+TEST(SetAssocCache, EightKiBLinesAreLargerThanAPage) {
+  SetAssocCache c({64 * 1024, 2, 8192, 1});  // 4 sets × 2 ways
+  EXPECT_FALSE(c.access(0x0));
+  EXPECT_TRUE(c.access(0x1FFF));  // same line
+  EXPECT_FALSE(c.access(0x2000));
+  EXPECT_FALSE(c.access(0x10000));  // line 8: set 0 again
+  // Half a line still drops the whole line.
+  c.invalidate_range(0x1000, its::kPageSize);
+  EXPECT_FALSE(c.probe(0x0));
+  EXPECT_TRUE(c.probe(0x2000));
+  EXPECT_TRUE(c.invalidate(0x2000));
+  c.invalidate_range(0x0, 0x20000);
+  EXPECT_EQ(c.lines_resident(), 0u);
+  EXPECT_EQ(c.stats().invalidations, 3u);
+  EXPECT_EQ(c.stats().evictions, 0u);
+}
+
 TEST(SetAssocCache, ProbeHasNoSideEffects) {
   SetAssocCache c(tiny_cache());
   EXPECT_FALSE(c.probe(0x1000));
@@ -208,6 +243,28 @@ TEST(Tlb, InvalidateSingleEntry) {
 }
 
 TEST(Tlb, RejectsZeroCapacity) { EXPECT_THROW(Tlb(0), std::invalid_argument); }
+
+TEST(Tlb, RejectsCapacityPastLimit) {
+  EXPECT_THROW(Tlb(Tlb::kMaxEntries + 1), std::invalid_argument);
+}
+
+TEST(Tlb, InvalidatedSlotIsReusedBeforeEviction) {
+  Tlb tlb(3);
+  tlb.insert(1);
+  tlb.insert(2);
+  tlb.insert(3);
+  tlb.invalidate(2);
+  tlb.insert(4);  // takes the freed slot: nothing is evicted
+  EXPECT_EQ(tlb.size(), 3u);
+  EXPECT_TRUE(tlb.lookup(1));
+  EXPECT_TRUE(tlb.lookup(3));
+  EXPECT_TRUE(tlb.lookup(4));
+  EXPECT_FALSE(tlb.lookup(2));
+  tlb.flush();
+  tlb.insert(5);
+  EXPECT_EQ(tlb.size(), 1u);
+  EXPECT_FALSE(tlb.lookup(1));
+}
 
 PreexecCacheConfig tiny_px() { return {2048, 2, 64}; }  // 16 sets × 2 ways
 

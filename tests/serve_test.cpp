@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,6 +182,19 @@ TEST(ServeRun, AdmitLimitForcesRejectsUnderOverload) {
   ServeMetrics m = run_serve(cfg, core::PolicyKind::kSync);
   EXPECT_GT(m.rejects, 0u);
   EXPECT_EQ(m.arrivals, m.admits + m.rejects);
+}
+
+TEST(ServeRun, RejectsMoreRequestsThanProcessesBeforeBuildingAny) {
+  // ~100k arrivals: each would be a process, past the 65536 a simulation
+  // holds.  The schedule alone decides, so this fails in milliseconds.
+  ServeConfig cfg = tiny_serve();
+  cfg.arrivals.model = ArrivalModel::kPoisson;
+  cfg.arrivals.rate_rps = 100'000.0;
+  cfg.duration = 1'000'000'000;
+  ASSERT_GT(generate_requests(cfg).size(), its::kMaxProcesses);
+  EXPECT_THROW(run_serve(cfg, core::PolicyKind::kIts), std::invalid_argument);
+  cfg.max_requests = its::kMaxProcesses;
+  EXPECT_EQ(generate_requests(cfg).size(), its::kMaxProcesses);
 }
 
 // ---------------------------------------------------------------------------

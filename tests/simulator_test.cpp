@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/simulator.h"
 #include "trace/instr.h"
@@ -44,6 +46,23 @@ SimConfig small_config() {
 its::Duration page_io_ns(const SimConfig& cfg) {
   storage::DmaController dma(cfg.ull, cfg.pcie);
   return dma.post_page(0, storage::Dir::kRead);
+}
+
+TEST(Simulator, RejectsMoreProcessesThanPidKeysHold) {
+  // pid_key() keeps 16 bits of pid: pid 65536 would share pid 0's TLB,
+  // swap-slot and pre-execute keys.  One compute record per process keeps
+  // each page table empty, so 65536 processes stay cheap.
+  Simulator sim(small_config(), PolicyKind::kSync);
+  const auto t = make_trace({Instr::compute(1, 2, 0, 0)});
+  for (its::Pid pid = 0; pid < its::kMaxProcesses; ++pid)
+    sim.add_process(std::make_unique<sched::Process>(pid, "p", 30, t));
+  const auto pid = static_cast<its::Pid>(its::kMaxProcesses);
+  try {
+    sim.add_process(std::make_unique<sched::Process>(pid, "p", 30, t));
+    FAIL() << "pid 65536 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65536"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Simulator, SingleProcessRunsToCompletion) {

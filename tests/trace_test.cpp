@@ -2,10 +2,13 @@
 // round-trips, and the nine workload generators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "trace/instr.h"
 #include "trace/trace.h"
@@ -79,6 +82,24 @@ TEST(TraceContainer, TouchedPagesSortedUnique) {
   ASSERT_EQ(pages.size(), 2u);
   EXPECT_EQ(pages[0], 1u);
   EXPECT_EQ(pages[1], 5u);
+}
+
+TEST(TraceContainer, PushBackRefreshesKeptFootprint) {
+  Trace t;
+  t.push_back(Instr::load(0x1000, 8, 1, 0));
+  t.push_back(Instr::file_write(3, 0, 100, 1));
+  const Trace before = t;
+  ASSERT_EQ(t.touched_pages().size(), 1u);
+  ASSERT_EQ(t.file_sizes().size(), 1u);
+  EXPECT_EQ(t, before);  // the kept results are not part of equality
+  t.push_back(Instr::load(0x9000, 8, 1, 0));
+  t.push_back(Instr::file_read(4, 0, 50, 1));
+  EXPECT_EQ(t.touched_pages().size(), 2u);
+  EXPECT_EQ(t.touched_pages().back(), 9u);
+  EXPECT_EQ(t.file_sizes().size(), 2u);
+  EXPECT_EQ(t.stats().footprint_pages, 2u);
+  Trace moved = std::move(t);
+  EXPECT_EQ(moved.touched_pages().size(), 2u);
 }
 
 TEST(TraceContainer, EmptyTraceStats) {
@@ -268,6 +289,21 @@ TEST_P(GeneratorTest, AddressesStayInsideRegion) {
     EXPECT_GE(in.addr, kHeapBase);
     EXPECT_LT(in.addr + in.size, kHeapBase + spec.footprint_bytes);
   }
+}
+
+TEST_P(GeneratorTest, TouchedPagesEqualTheSetOfPagesTouched) {
+  GeneratorConfig cfg;
+  cfg.length_scale = 0.05;
+  const Trace t = generate(GetParam(), cfg);
+  std::set<its::Vpn> want;
+  for (const auto& in : t.records()) {
+    if (!in.is_mem()) continue;
+    const its::VirtAddr end = in.addr + (in.size ? in.size - 1 : 0);
+    for (its::Vpn p = its::vpn_of(in.addr); p <= its::vpn_of(end); ++p) want.insert(p);
+  }
+  const std::vector<its::Vpn>& got = t.touched_pages();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  EXPECT_EQ(t.stats().footprint_pages, want.size());
 }
 
 TEST_P(GeneratorTest, DeterministicInSeed) {
