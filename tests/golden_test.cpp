@@ -4,7 +4,9 @@
 // the integer SimMetrics fields against a checked-in snapshot
 // (tests/golden/metrics.golden).  Any change to fault handling, idle
 // accounting, prefetching, stealing or scheduling shows up as a concrete
-// per-field diff instead of a silently shifted figure.
+// per-field diff instead of a silently shifted figure.  A second snapshot
+// (tests/golden/metrics_csv.golden) pins the exact bytes of both CSV
+// reports.
 //
 // To regenerate after an intentional behaviour change:
 //
@@ -13,68 +15,35 @@
 // then review the golden-file diff like any other code change.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "core/batch.h"
 #include "core/experiment.h"
 #include "core/policy.h"
+#include "core/report.h"
+#include "golden.h"
 
 namespace its::core {
 namespace {
 
-#ifndef ITS_GOLDEN_DIR
-#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
-#endif
-
-const char* kGoldenPath = ITS_GOLDEN_DIR "/metrics.golden";
-
-ExperimentConfig golden_config() {
-  ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
-void emit_metrics(std::ostream& os, const std::string& key,
-                  const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.mem_stall=" << m.idle.mem_stall << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".minor_faults=" << m.minor_faults << '\n';
-  os << key << ".llc_misses=" << m.llc_misses << '\n';
-  os << key << ".prefetch_issued=" << m.prefetch_issued << '\n';
-  os << key << ".prefetch_useful=" << m.prefetch_useful << '\n';
-  os << key << ".preexec_episodes=" << m.preexec_episodes << '\n';
-  os << key << ".async_switches=" << m.async_switches << '\n';
-  os << key << ".evictions=" << m.evictions << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-}
+using test::golden_config;
 
 /// The full snapshot: 4 batches × 5 policies at the fixed seed, traces
 /// shared across policies exactly as the figure benches share them.
 std::string snapshot() {
   ExperimentConfig cfg = golden_config();
   std::ostringstream os;
-  os << "# its_sim golden metrics — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./golden_test\n";
-  os << "# config: length_scale=0.02 footprint_scale=0.25 seed=42\n";
+  os << test::kMetricsGoldenHeader;
   for (std::size_t bi = 0; bi < paper_batches().size(); ++bi) {
     const BatchSpec& batch = paper_batches()[bi];
     auto traces = batch_traces(batch, cfg.gen);
     for (PolicyKind k : kAllPolicies) {
       SimMetrics m = run_batch_policy(batch, k, cfg, traces);
-      emit_metrics(os,
-                   "batch" + std::to_string(bi) + "." +
-                       std::string(policy_name(k)),
-                   m);
+      test::emit_metrics(os,
+                         "batch" + std::to_string(bi) + "." +
+                             std::string(policy_name(k)),
+                         m);
     }
   }
   return os.str();
@@ -83,52 +52,21 @@ std::string snapshot() {
 TEST(GoldenRun, MetricsMatchCheckedInSnapshot) {
   // The snapshot is defined for the fault-free simulator; the CI job that
   // forces a fault profile over the whole suite legitimately diverges.
-  if (const char* fp = std::getenv("ITS_FAULT_PROFILE");
-      fp != nullptr && std::string(fp) != "none")
-    GTEST_SKIP() << "golden snapshot is fault-free; ITS_FAULT_PROFILE=" << fp;
+  if (test::fault_profile_forced())
+    GTEST_SKIP() << "golden snapshot is fault-free";
+  test::expect_golden("metrics.golden", snapshot(), "golden_test");
+}
 
-  std::string actual = snapshot();
-
-  if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");
-      update != nullptr && std::string(update) == "1") {
-    std::ofstream out(kGoldenPath, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
-  }
-
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << kGoldenPath
-      << " — run ITS_UPDATE_GOLDEN=1 ./golden_test to create it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-
-  if (actual == expected.str()) return;
-
-  // Report the first few differing lines so the failure names the metric
-  // that moved, not just "files differ".
-  std::istringstream as(actual), es(expected.str());
-  std::string aline, eline;
-  int lineno = 0, reported = 0;
-  std::ostringstream diff;
-  while (reported < 8) {
-    bool amore = static_cast<bool>(std::getline(as, aline));
-    bool emore = static_cast<bool>(std::getline(es, eline));
-    if (!amore && !emore) break;
-    ++lineno;
-    if (!amore) aline = "<eof>";
-    if (!emore) eline = "<eof>";
-    if (aline != eline) {
-      diff << "  line " << lineno << ":\n    golden: " << eline
-           << "\n    actual: " << aline << '\n';
-      ++reported;
-    }
-  }
-  FAIL() << "metrics diverged from " << kGoldenPath << ":\n"
-         << diff.str()
-         << "if the change is intentional, regenerate with "
-            "ITS_UPDATE_GOLDEN=1 ./golden_test and commit the diff";
+TEST(GoldenRun, MetricsCsvMatchesCheckedInSnapshot) {
+  // Every column of both reports, header included, for batch 0 under all
+  // five policies: a reordered, renamed or dropped column moves a byte.
+  if (test::fault_profile_forced())
+    GTEST_SKIP() << "golden snapshot is fault-free";
+  const BatchResult r = run_batch_all(paper_batches()[0], golden_config());
+  std::ostringstream os;
+  write_metrics_csv(os, {&r, 1});
+  write_processes_csv(os, {&r, 1});
+  test::expect_golden("metrics_csv.golden", os.str(), "golden_test");
 }
 
 }  // namespace
