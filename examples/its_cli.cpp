@@ -11,7 +11,7 @@
 // --fault-seed=<n>  --fault-outage=<k=v,...>  --jobs=<n>  --list
 //
 // The open-loop serving scenario (docs/serving.md) rides the same binary:
-//   its_cli --scenario=serve --policy=ITS --arrival-rate=40000 \
+//   its_cli --scenario=serve --policy=ITS --arrival-rate=40000
 //           --duration-ms=40 --overcommit=2 --slo-p99=8000000
 // with --arrival-model=poisson|mmpp  --admit-limit=<n>  --max-requests=<n>
 // --burst-mult=<f>  --burst-fraction=<f> shaping the stream.

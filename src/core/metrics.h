@@ -1,31 +1,20 @@
 // Batch-level simulation metrics.
 //
-// "The definition of CPU idle time is the time that the CPU's progress
-// cannot proceed because it is waiting for the completion of memory or
-// storage requests" (§4.2.1).  We keep the breakdown explicit so each
-// policy's behaviour is auditable: memory stalls, un-stolen busy waits,
-// context-switch overhead, and whole-machine idle (every process blocked).
+// The scalar counters — the §4.2.1 idle breakdown, the makespan, fault and
+// mechanism sums — are declared once, in obs::RunTotals, so the checker in
+// the leaf obs module reads the same struct the simulator fills and the
+// CSV report writes.  SimMetrics adds what only a whole run has: the
+// per-process outcomes and the finish-time aggregates over them.
 #pragma once
 
+#include "obs/invariant_checker.h"
 #include "sched/process.h"
 #include "util/types.h"
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace its::core {
-
-struct IdleBreakdown {
-  its::Duration mem_stall = 0;    ///< Cache-miss/TLB-walk service time.
-  its::Duration busy_wait = 0;    ///< Sync fault wait not converted to work.
-  its::Duration ctx_switch = 0;   ///< 7 µs per switch, incl. async switches.
-  its::Duration no_runnable = 0;  ///< Every process blocked on I/O.
-
-  its::Duration total() const {
-    return mem_stall + busy_wait + ctx_switch + no_runnable;
-  }
-};
 
 /// Snapshot of one process's outcome.
 struct ProcessOutcome {
@@ -35,61 +24,7 @@ struct ProcessOutcome {
   sched::ProcessMetrics metrics;
 };
 
-struct SimMetrics {
-  IdleBreakdown idle;
-  its::SimTime makespan = 0;  ///< Time the last process finished.
-
-  /// Total time the CPU retired work on behalf of some process (compute,
-  /// fault handlers, syscalls, cache service).  Memory stalls are part of
-  /// this (mem_stall ⊆ cpu_busy); busy waits, context switches and
-  /// no-runnable gaps are not, so by construction
-  ///   cpu_busy + busy_wait + ctx_switch + no_runnable == makespan
-  /// — the reconciliation the obs::InvariantChecker enforces.
-  its::Duration cpu_busy = 0;
-
-  // Batch-wide sums (Fig. 4b / 4c).
-  std::uint64_t major_faults = 0;
-  std::uint64_t minor_faults = 0;
-  std::uint64_t llc_misses = 0;
-
-  // Mechanism accounting.
-  // File-I/O path (zero unless traces issue read/write syscalls).
-  std::uint64_t file_reads = 0;
-  std::uint64_t file_writes = 0;
-  std::uint64_t page_cache_hits = 0;
-  std::uint64_t page_cache_misses = 0;
-  std::uint64_t file_writebacks = 0;
-
-  std::uint64_t prefetch_issued = 0;    ///< Pages posted to DMA by prefetchers.
-  std::uint64_t prefetch_useful = 0;    ///< Prefetched pages later touched.
-  std::uint64_t preexec_episodes = 0;
-  std::uint64_t preexec_lines_warmed = 0;
-  std::uint64_t async_switches = 0;     ///< Faults serviced asynchronously.
-  std::uint64_t evictions = 0;          ///< Frames reclaimed under pressure.
-  its::Duration stolen_time = 0;        ///< Wait time converted to work.
-
-  // Fault-injection resilience (all zero with injection disabled).
-  std::uint64_t io_errors = 0;          ///< Demand-read attempts that failed.
-  std::uint64_t io_retries = 0;         ///< Failed attempts reposted (with backoff).
-  std::uint64_t retry_exhausted = 0;    ///< Reads that burned the whole retry budget.
-  std::uint64_t deadline_aborts = 0;    ///< Sync busy-waits aborted by the watchdog.
-  std::uint64_t mode_fallbacks = 0;     ///< Aborts that fell back to async mode.
-  its::Duration degraded_time = 0;      ///< ns faults spent completing in background
-                                        ///< after a deadline abort.
-
-  // Device-outage availability (all zero with the outage model disabled;
-  // reconciled exactly against kHealthTransition/kPool* events by the
-  // obs::InvariantChecker — see docs/robustness.md).
-  its::Duration health_healthy_time = 0;    ///< ns device spent healthy.
-  its::Duration health_degraded_time = 0;   ///< ns device spent degraded.
-  its::Duration health_offline_time = 0;    ///< ns device spent offline.
-  its::Duration health_recovering_time = 0; ///< ns device spent recovering.
-  std::uint64_t pool_stores = 0;            ///< Pages compressed to the fallback pool.
-  std::uint64_t pool_hits = 0;              ///< Demand reads served from the pool.
-  std::uint64_t pool_drains = 0;            ///< Pooled pages drained back on recovery.
-  its::Bytes drain_bytes = 0;               ///< Bytes written back by the drain.
-  std::uint64_t faults_served_degraded = 0; ///< Major faults entered while unhealthy.
-
+struct SimMetrics : obs::RunTotals {
   std::vector<ProcessOutcome> processes;
 
   /// Mean finish time over the ceil(n/2) highest-priority processes

@@ -178,6 +178,15 @@ SimMetrics Simulator::run() {
   m_.processes.clear();
   for (const auto& p : procs_)
     m_.processes.push_back({p->pid(), p->name(), p->priority(), p->metrics()});
+  if (const std::vector<std::string> broken = m_.identity_violations();
+      !broken.empty()) {
+    std::string msg = "Simulator: " + broken.front();
+    for (std::size_t i = 1; i < broken.size(); ++i) {
+      msg += "; ";
+      msg += broken[i];
+    }
+    throw AccountingError(msg);
+  }
   return m_;
 }
 

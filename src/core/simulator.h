@@ -37,11 +37,20 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace its::core {
+
+/// Thrown by Simulator::run() when a finished run breaks the §4.2.1
+/// partition (obs::RunTotals::identity_violations); the message names the
+/// broken identity.  Always a simulator bug, never a property of the input.
+class AccountingError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 class Simulator {
  public:
@@ -76,7 +85,8 @@ class Simulator {
     retire_ = std::move(hook);
   }
 
-  /// Runs every process to completion and returns the metrics.
+  /// Runs every process to completion and returns the metrics.  Throws
+  /// AccountingError if they break the §4.2.1 identity.
   SimMetrics run();
 
   /// Attaches a structured event recorder (nullptr detaches).  Attach

@@ -65,6 +65,28 @@ const char* health_state_name(std::uint64_t s) {
 
 }  // namespace
 
+std::vector<std::string> RunTotals::identity_violations(
+    its::Duration slack) const {
+  std::vector<std::string> out;
+  // The makespan is a SimTime instant; the run's wall length is the same
+  // number only because the simulation clock starts at 0 — make the
+  // conversion explicit before comparing it with summed Durations.
+  const its::Duration wall = its::duration_between(makespan, 0);
+  const its::Duration accounted =
+      cpu_busy + idle.busy_wait + idle.ctx_switch + idle.no_runnable;
+  const its::Duration diff =
+      accounted > wall ? accounted - wall : wall - accounted;
+  if (diff > slack)
+    out.push_back(fmt("accounting leak: cpu_busy + busy_wait + ctx_switch + "
+                      "no_runnable = %" PRIu64 " but makespan = %" PRIu64,
+                      accounted, wall));
+  if (idle.mem_stall > cpu_busy)
+    out.push_back(fmt("mem_stall %" PRIu64
+                      " exceeds total busy CPU time %" PRIu64,
+                      idle.mem_stall, cpu_busy));
+  return out;
+}
+
 std::string CheckResult::summary() const {
   if (violations.empty()) return "ok";
   std::string s;
@@ -364,21 +386,8 @@ CheckResult check_invariants(const EventTrace& trace, const RunTotals& m,
     fail(fmt("request %" PRIu64 " was admitted but never retired", id));
 
   // (4) idle breakdown + utilized CPU time reconcile with the makespan.
-  // The makespan is a SimTime instant; the run's wall length is the same
-  // number only because the simulation clock starts at 0 — make the
-  // conversion explicit before comparing it with summed Durations.
-  const its::Duration wall = its::duration_between(m.makespan, 0);
-  const its::Duration accounted =
-      m.cpu_busy + m.busy_wait + m.ctx_switch + m.no_runnable;
-  const its::Duration diff =
-      accounted > wall ? accounted - wall : wall - accounted;
-  if (diff > cfg.granularity)
-    fail(fmt("accounting leak: cpu_busy + busy_wait + ctx_switch + "
-             "no_runnable = %" PRIu64 " but makespan = %" PRIu64,
-             accounted, wall));
-  if (m.mem_stall > m.cpu_busy)
-    fail(fmt("mem_stall %" PRIu64 " exceeds total busy CPU time %" PRIu64,
-             m.mem_stall, m.cpu_busy));
+  for (std::string& v : m.identity_violations(cfg.granularity))
+    fail(std::move(v));
 
   // (5) event-derived totals == SimMetrics counters.
   auto expect_count = [&](EventKind k, std::uint64_t want, const char* field) {
@@ -406,18 +415,18 @@ CheckResult check_invariants(const EventTrace& trace, const RunTotals& m,
              degraded, m.degraded_time));
 
   const std::uint64_t ctx = trace.sum_b(EventKind::kCtxSwitch);
-  if (ctx != m.ctx_switch)
+  if (ctx != m.idle.ctx_switch)
     fail(fmt("ctx-switch cost from events %" PRIu64 " != idle.ctx_switch %" PRIu64,
-             ctx, m.ctx_switch));
+             ctx, m.idle.ctx_switch));
 
   // An aborted sync wait busy-waits only its window (carried by the
   // kDeadlineAbort operands — the later kFaultEnd closes with b = c = 0).
   const std::uint64_t waits = trace.sum_b(EventKind::kFaultEnd) +
                               trace.sum_b(EventKind::kFileWait) +
                               trace.sum_b(EventKind::kDeadlineAbort);
-  if (waits != m.busy_wait)
+  if (waits != m.idle.busy_wait)
     fail(fmt("wait windows from events %" PRIu64 " != idle.busy_wait %" PRIu64,
-             waits, m.busy_wait));
+             waits, m.idle.busy_wait));
 
   const std::uint64_t stolen = trace.sum_c(EventKind::kFaultEnd) +
                                trace.sum_c(EventKind::kFileWait) +

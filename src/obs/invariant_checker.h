@@ -26,6 +26,7 @@
 #include "obs/event_trace.h"
 #include "util/types.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -38,39 +39,89 @@ struct CheckConfig {
   its::Duration granularity = 1;
 };
 
-/// The slice of a run's final counters the checker reconciles against.
-/// obs is a leaf module (docs/architecture.layers): it may not include
-/// core/metrics.h, so the totals cross this boundary as a flat struct and
-/// the template adapter below copies them out of any metrics-shaped type.
+/// "The definition of CPU idle time is the time that the CPU's progress
+/// cannot proceed because it is waiting for the completion of memory or
+/// storage requests" (§4.2.1).  The breakdown stays explicit so each
+/// policy's behaviour is auditable: memory stalls, un-stolen busy waits,
+/// context-switch overhead, and whole-machine idle (every process blocked).
+struct IdleBreakdown {
+  its::Duration mem_stall = 0;    ///< Cache-miss/TLB-walk service time.
+  its::Duration busy_wait = 0;    ///< Sync fault wait not converted to work.
+  its::Duration ctx_switch = 0;   ///< 7 µs per switch, incl. async switches.
+  its::Duration no_runnable = 0;  ///< Every process blocked on I/O.
+
+  its::Duration total() const {
+    return mem_stall + busy_wait + ctx_switch + no_runnable;
+  }
+};
+
+/// Every scalar counter of a finished run.  This is the one declaration of
+/// them: core::SimMetrics derives from it and adds only the per-process
+/// outcomes, and the checker below reconciles a trace against it.  obs is a
+/// leaf module (docs/architecture.layers), so the counters live here rather
+/// than in core.  Every member is one 64-bit word, so a test can set each
+/// word alone and find it in the metrics CSV
+/// (ReportCsv.EveryRunTotalsWordReachesTheRow).
 struct RunTotals {
-  its::SimTime makespan = 0;
+  IdleBreakdown idle;
+  its::SimTime makespan = 0;  ///< Time the last process finished.
+
+  /// Total time the CPU retired work on behalf of some process (compute,
+  /// fault handlers, syscalls, cache service).  Memory stalls are part of
+  /// this (mem_stall ⊆ cpu_busy); busy waits, context switches and
+  /// no-runnable gaps are not, so by construction
+  ///   cpu_busy + busy_wait + ctx_switch + no_runnable == makespan
+  /// — the identity `identity_violations` checks.
   its::Duration cpu_busy = 0;
-  its::Duration mem_stall = 0;
-  its::Duration busy_wait = 0;
-  its::Duration ctx_switch = 0;
-  its::Duration no_runnable = 0;
+
+  // Batch-wide sums (Fig. 4b / 4c).
   std::uint64_t major_faults = 0;
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_useful = 0;
+  std::uint64_t minor_faults = 0;
+  std::uint64_t llc_misses = 0;
+
+  // Mechanism accounting.
+  // File-I/O path (zero unless traces issue read/write syscalls).
+  std::uint64_t file_reads = 0;
+  std::uint64_t file_writes = 0;
+  std::uint64_t page_cache_hits = 0;
+  std::uint64_t page_cache_misses = 0;
+  std::uint64_t file_writebacks = 0;
+
+  std::uint64_t prefetch_issued = 0;    ///< Pages posted to DMA by prefetchers.
+  std::uint64_t prefetch_useful = 0;    ///< Prefetched pages later touched.
   std::uint64_t preexec_episodes = 0;
-  std::uint64_t async_switches = 0;
-  std::uint64_t evictions = 0;
-  its::Duration stolen_time = 0;
-  std::uint64_t io_errors = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t deadline_aborts = 0;
-  std::uint64_t mode_fallbacks = 0;
-  its::Duration degraded_time = 0;
-  // Device-outage availability (storage/device_health.h, vm/fallback_pool.h).
-  its::Duration health_healthy_time = 0;
-  its::Duration health_degraded_time = 0;
-  its::Duration health_offline_time = 0;
-  its::Duration health_recovering_time = 0;
-  std::uint64_t pool_stores = 0;
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_drains = 0;
-  its::Bytes drain_bytes = 0;
-  std::uint64_t faults_served_degraded = 0;
+  std::uint64_t preexec_lines_warmed = 0;
+  std::uint64_t async_switches = 0;     ///< Faults serviced asynchronously.
+  std::uint64_t evictions = 0;          ///< Frames reclaimed under pressure.
+  its::Duration stolen_time = 0;        ///< Wait time converted to work.
+
+  // Fault-injection resilience (all zero with injection disabled).
+  std::uint64_t io_errors = 0;          ///< Demand-read attempts that failed.
+  std::uint64_t io_retries = 0;         ///< Failed attempts reposted (with backoff).
+  std::uint64_t retry_exhausted = 0;    ///< Reads that burned the whole retry budget.
+  std::uint64_t deadline_aborts = 0;    ///< Sync busy-waits aborted by the watchdog.
+  std::uint64_t mode_fallbacks = 0;     ///< Aborts that fell back to async mode.
+  its::Duration degraded_time = 0;      ///< ns faults spent completing in background
+                                        ///< after a deadline abort.
+
+  // Device-outage availability (all zero with the outage model disabled;
+  // reconciled exactly against kHealthTransition/kPool* events by the
+  // checker — see docs/robustness.md).
+  its::Duration health_healthy_time = 0;    ///< ns device spent healthy.
+  its::Duration health_degraded_time = 0;   ///< ns device spent degraded.
+  its::Duration health_offline_time = 0;    ///< ns device spent offline.
+  its::Duration health_recovering_time = 0; ///< ns device spent recovering.
+  std::uint64_t pool_stores = 0;            ///< Pages compressed to the fallback pool.
+  std::uint64_t pool_hits = 0;              ///< Demand reads served from the pool.
+  std::uint64_t pool_drains = 0;            ///< Pooled pages drained back on recovery.
+  its::Bytes drain_bytes = 0;               ///< Bytes written back by the drain.
+  std::uint64_t faults_served_degraded = 0; ///< Major faults entered while unhealthy.
+
+  /// The §4.2.1 partition: cpu_busy + busy_wait + ctx_switch + no_runnable
+  /// equals the makespan (within `slack` ns either way) and mem_stall ⊆
+  /// cpu_busy.  Returns one message per broken identity, empty when both
+  /// hold.  O(1): every run checks it on exit.
+  std::vector<std::string> identity_violations(its::Duration slack = 0) const;
 };
 
 struct CheckResult {
@@ -84,42 +135,5 @@ struct CheckResult {
 /// Replays `trace` and cross-checks it against the run's totals.
 CheckResult check_invariants(const EventTrace& trace, const RunTotals& totals,
                              const CheckConfig& cfg = {});
-
-/// Adapter for core::SimMetrics (or anything with the same field shape):
-/// flattens `metrics` into RunTotals so call sites keep passing their
-/// metrics object directly without obs depending on its definition.
-template <typename Metrics>
-CheckResult check_invariants(const EventTrace& trace, const Metrics& metrics,
-                             const CheckConfig& cfg = {}) {
-  RunTotals t;
-  t.makespan = metrics.makespan;
-  t.cpu_busy = metrics.cpu_busy;
-  t.mem_stall = metrics.idle.mem_stall;
-  t.busy_wait = metrics.idle.busy_wait;
-  t.ctx_switch = metrics.idle.ctx_switch;
-  t.no_runnable = metrics.idle.no_runnable;
-  t.major_faults = metrics.major_faults;
-  t.prefetch_issued = metrics.prefetch_issued;
-  t.prefetch_useful = metrics.prefetch_useful;
-  t.preexec_episodes = metrics.preexec_episodes;
-  t.async_switches = metrics.async_switches;
-  t.evictions = metrics.evictions;
-  t.stolen_time = metrics.stolen_time;
-  t.io_errors = metrics.io_errors;
-  t.io_retries = metrics.io_retries;
-  t.deadline_aborts = metrics.deadline_aborts;
-  t.mode_fallbacks = metrics.mode_fallbacks;
-  t.degraded_time = metrics.degraded_time;
-  t.health_healthy_time = metrics.health_healthy_time;
-  t.health_degraded_time = metrics.health_degraded_time;
-  t.health_offline_time = metrics.health_offline_time;
-  t.health_recovering_time = metrics.health_recovering_time;
-  t.pool_stores = metrics.pool_stores;
-  t.pool_hits = metrics.pool_hits;
-  t.pool_drains = metrics.pool_drains;
-  t.drain_bytes = metrics.drain_bytes;
-  t.faults_served_degraded = metrics.faults_served_degraded;
-  return check_invariants(trace, t, cfg);
-}
 
 }  // namespace its::obs

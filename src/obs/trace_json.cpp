@@ -106,7 +106,8 @@ namespace {
 
 /// Extracts the value substring after `"key":` inside one JSON object.
 std::string_view field_of(std::string_view obj, std::string_view key) {
-  std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle(1, '"');
+  needle.append(key).append("\":");
   std::size_t at = obj.find(needle);
   if (at == std::string_view::npos) return {};
   std::size_t begin = at + needle.size();

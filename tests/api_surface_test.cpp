@@ -237,8 +237,7 @@ TEST(ApiSurface, SchedulerStatsCountDecisions) {
 // ----------------------------------------------------------------- obs --
 
 TEST(ApiSurface, RunTotalsDriveTheCheckerDirectly) {
-  // The non-template overload: an empty trace with all-zero totals is
-  // trivially consistent.
+  // An empty trace with all-zero totals is trivially consistent.
   obs::EventTrace trace;
   obs::RunTotals totals;
   obs::CheckConfig cfg;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "sched/cfs.h"
 #include "trace/instr.h"
@@ -19,10 +20,12 @@ std::shared_ptr<const trace::Trace> tiny_trace() {
 class CfsTest : public ::testing::Test {
  protected:
   CfsTest() {
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < 3; ++i) {
+      std::string name(1, 'p');
+      name += std::to_string(i);
       procs_.push_back(std::make_unique<Process>(
-          static_cast<its::Pid>(i), "p" + std::to_string(i), 10 * (i + 1),
-          tiny_trace()));
+          static_cast<its::Pid>(i), name, 10 * (i + 1), tiny_trace()));
+    }
   }
   CfsConfig cfg_{.sched_latency = 12000, .min_granularity = 1000};
   std::vector<std::unique_ptr<Process>> procs_;

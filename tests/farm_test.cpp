@@ -19,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -36,16 +35,14 @@
 #include "sched/process.h"
 #include "trace/instr.h"
 #include "trace/trace.h"
+#include "golden.h"
 
 namespace its {
 namespace {
 
-#ifndef ITS_GOLDEN_DIR
-#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
-#endif
-
 using core::PolicyKind;
 using core::SimMetrics;
+using test::golden_config;
 
 // ---------------------------------------------------------------------------
 // Farm execution semantics.
@@ -186,14 +183,6 @@ TEST(Farm, DefaultJobsHonoursItsJobsEnv) {
 // ---------------------------------------------------------------------------
 // The bit-determinism matrix (the farm's reason to exist).
 
-core::ExperimentConfig golden_config() {
-  core::ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
 std::string grid_csv(unsigned jobs) {
   core::ExperimentConfig cfg = golden_config();
   cfg.jobs = jobs;
@@ -258,50 +247,26 @@ TEST(FarmDeterminism, ShuffledSubmissionOrderIsByteIdentical) {
 // recorded by the serial runner, so matching them from a farmed run proves
 // the farm is invisible in the output.
 
-void emit_metrics(std::ostream& os, const std::string& key,
-                  const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.mem_stall=" << m.idle.mem_stall << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".minor_faults=" << m.minor_faults << '\n';
-  os << key << ".llc_misses=" << m.llc_misses << '\n';
-  os << key << ".prefetch_issued=" << m.prefetch_issued << '\n';
-  os << key << ".prefetch_useful=" << m.prefetch_useful << '\n';
-  os << key << ".preexec_episodes=" << m.preexec_episodes << '\n';
-  os << key << ".async_switches=" << m.async_switches << '\n';
-  os << key << ".evictions=" << m.evictions << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-}
-
 TEST(FarmDeterminism, Jobs8ReproducesGoldenMetricsFile) {
-  if (const char* fp = std::getenv("ITS_FAULT_PROFILE");
-      fp != nullptr && std::string(fp) != "none")
-    GTEST_SKIP() << "golden snapshot is fault-free; ITS_FAULT_PROFILE=" << fp;
+  if (test::fault_profile_forced())
+    GTEST_SKIP() << "golden snapshot is fault-free";
 
   core::ExperimentConfig cfg = golden_config();
   cfg.jobs = 8;
   std::vector<core::BatchResult> grid = core::run_grid_all(cfg);
 
   std::ostringstream os;
-  os << "# its_sim golden metrics — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./golden_test\n";
-  os << "# config: length_scale=0.02 footprint_scale=0.25 seed=42\n";
+  os << test::kMetricsGoldenHeader;
   for (std::size_t bi = 0; bi < grid.size(); ++bi)
     for (PolicyKind k : core::kAllPolicies)
-      emit_metrics(os,
-                   "batch" + std::to_string(bi) + "." +
-                       std::string(core::policy_name(k)),
-                   grid[bi].by_policy.at(k));
+      test::emit_metrics(os,
+                         "batch" + std::to_string(bi) + "." +
+                             std::string(core::policy_name(k)),
+                         grid[bi].by_policy.at(k));
 
-  std::ifstream in(ITS_GOLDEN_DIR "/metrics.golden");
-  ASSERT_TRUE(in.good()) << "missing " << ITS_GOLDEN_DIR "/metrics.golden";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(os.str(), expected.str())
+  const std::string expected = test::read_golden("metrics.golden");
+  ASSERT_FALSE(expected.empty()) << "missing metrics.golden";
+  EXPECT_EQ(os.str(), expected)
       << "a --jobs 8 farmed grid diverged from the serial-recorded golden "
          "file: the farm leaked into simulation results";
 }
@@ -322,41 +287,14 @@ TEST(FarmDeterminism, Jobs8ReproducesFaultGoldenFile) {
       });
 
   std::ostringstream os;
-  os << "# its_sim fault golden — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./fault_test\n";
-  os << "# config: batch1 length_scale=0.02 footprint_scale=0.25 seed=42 "
-        "fault=hostile fault_seed=7\n";
-  for (std::size_t i = 0; i < std::size(core::kAllPolicies); ++i) {
-    const SimMetrics& m = ms[i];
-    const std::string key{core::policy_name(core::kAllPolicies[i])};
-    os << key << ".makespan=" << m.makespan << '\n';
-    os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-    os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-    os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-    os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-    os << key << ".major_faults=" << m.major_faults << '\n';
-    os << key << ".stolen_time=" << m.stolen_time << '\n';
-    os << key << ".io_errors=" << m.io_errors << '\n';
-    os << key << ".io_retries=" << m.io_retries << '\n';
-    os << key << ".retry_exhausted=" << m.retry_exhausted << '\n';
-    os << key << ".deadline_aborts=" << m.deadline_aborts << '\n';
-    os << key << ".mode_fallbacks=" << m.mode_fallbacks << '\n';
-    os << key << ".degraded_time=" << m.degraded_time << '\n';
-    os << key << ".health_healthy_time=" << m.health_healthy_time << '\n';
-    os << key << ".health_degraded_time=" << m.health_degraded_time << '\n';
-    os << key << ".health_offline_time=" << m.health_offline_time << '\n';
-    os << key << ".health_recovering_time=" << m.health_recovering_time << '\n';
-    os << key << ".pool_stores=" << m.pool_stores << '\n';
-    os << key << ".pool_hits=" << m.pool_hits << '\n';
-    os << key << ".pool_drains=" << m.pool_drains << '\n';
-    os << key << ".faults_served_degraded=" << m.faults_served_degraded << '\n';
-  }
+  os << test::kFaultGoldenHeader;
+  for (std::size_t i = 0; i < std::size(core::kAllPolicies); ++i)
+    test::emit_fault_metrics(
+        os, std::string(core::policy_name(core::kAllPolicies[i])), ms[i]);
 
-  std::ifstream in(ITS_GOLDEN_DIR "/fault_metrics.golden");
-  ASSERT_TRUE(in.good()) << "missing " << ITS_GOLDEN_DIR "/fault_metrics.golden";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(os.str(), expected.str())
+  const std::string expected = test::read_golden("fault_metrics.golden");
+  ASSERT_FALSE(expected.empty()) << "missing fault_metrics.golden";
+  EXPECT_EQ(os.str(), expected)
       << "a --jobs 8 farmed hostile run diverged from the fault golden file";
 }
 

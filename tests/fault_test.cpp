@@ -17,8 +17,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,13 +30,10 @@
 #include "obs/invariant_checker.h"
 #include "obs/trace_json.h"
 #include "vm/swap.h"
+#include "golden.h"
 
 namespace its {
 namespace {
-
-#ifndef ITS_GOLDEN_DIR
-#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
-#endif
 
 using core::PolicyKind;
 using core::SimMetrics;
@@ -185,20 +180,12 @@ TEST(FaultInjector, OutageWindowsStallTheDevice) {
 // ---------------------------------------------------------------------------
 // Whole-simulation properties.  One small batch keeps each run ~a second.
 
-core::ExperimentConfig small_config() {
-  core::ExperimentConfig cfg;
-  cfg.gen.length_scale = 0.02;
-  cfg.gen.footprint_scale = 0.25;
-  cfg.sim.seed = 42;
-  return cfg;
-}
-
 const core::BatchSpec& test_batch() { return core::paper_batches()[1]; }
 
 SimMetrics run_profile(const char* profile, PolicyKind policy,
                        obs::EventTrace* et = nullptr,
                        std::uint64_t fault_seed = 7) {
-  core::ExperimentConfig cfg = small_config();
+  core::ExperimentConfig cfg = test::golden_config();
   cfg.sim.fault = *fault::profile_by_name(profile);
   cfg.sim.fault.seed = fault_seed;
   auto traces = core::batch_traces(test_batch(), cfg.gen);
@@ -387,61 +374,13 @@ TEST(OutageSim, HostileProfileExercisesThePool) {
 // and injector seeds.  Regenerate after an intentional behaviour change:
 //   ITS_UPDATE_GOLDEN=1 ./build/tests/fault_test
 
-const char* kFaultGoldenPath = ITS_GOLDEN_DIR "/fault_metrics.golden";
-
-void emit_fault_metrics(std::ostream& os, const std::string& key,
-                        const SimMetrics& m) {
-  os << key << ".makespan=" << m.makespan << '\n';
-  os << key << ".cpu_busy=" << m.cpu_busy << '\n';
-  os << key << ".idle.busy_wait=" << m.idle.busy_wait << '\n';
-  os << key << ".idle.ctx_switch=" << m.idle.ctx_switch << '\n';
-  os << key << ".idle.no_runnable=" << m.idle.no_runnable << '\n';
-  os << key << ".major_faults=" << m.major_faults << '\n';
-  os << key << ".stolen_time=" << m.stolen_time << '\n';
-  os << key << ".io_errors=" << m.io_errors << '\n';
-  os << key << ".io_retries=" << m.io_retries << '\n';
-  os << key << ".retry_exhausted=" << m.retry_exhausted << '\n';
-  os << key << ".deadline_aborts=" << m.deadline_aborts << '\n';
-  os << key << ".mode_fallbacks=" << m.mode_fallbacks << '\n';
-  os << key << ".degraded_time=" << m.degraded_time << '\n';
-  os << key << ".health_healthy_time=" << m.health_healthy_time << '\n';
-  os << key << ".health_degraded_time=" << m.health_degraded_time << '\n';
-  os << key << ".health_offline_time=" << m.health_offline_time << '\n';
-  os << key << ".health_recovering_time=" << m.health_recovering_time << '\n';
-  os << key << ".pool_stores=" << m.pool_stores << '\n';
-  os << key << ".pool_hits=" << m.pool_hits << '\n';
-  os << key << ".pool_drains=" << m.pool_drains << '\n';
-  os << key << ".faults_served_degraded=" << m.faults_served_degraded << '\n';
-}
-
 TEST(FaultGolden, HostileRunMatchesSnapshot) {
   std::ostringstream os;
-  os << "# its_sim fault golden — regenerate with ITS_UPDATE_GOLDEN=1 "
-        "./fault_test\n";
-  os << "# config: batch1 length_scale=0.02 footprint_scale=0.25 seed=42 "
-        "fault=hostile fault_seed=7\n";
-  for (PolicyKind k : core::kAllPolicies) {
-    SimMetrics m = run_profile("hostile", k);
-    emit_fault_metrics(os, std::string(core::policy_name(k)), m);
-  }
-  std::string actual = os.str();
-
-  if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");
-      update != nullptr && std::string(update) == "1") {
-    std::ofstream out(kFaultGoldenPath, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << kFaultGoldenPath;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << kFaultGoldenPath;
-  }
-
-  std::ifstream in(kFaultGoldenPath);
-  ASSERT_TRUE(in.good()) << "missing golden file " << kFaultGoldenPath
-                         << " — run ITS_UPDATE_GOLDEN=1 ./fault_test";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "hostile-profile metrics diverged; if intentional, regenerate with "
-         "ITS_UPDATE_GOLDEN=1 ./fault_test and commit the diff";
+  os << test::kFaultGoldenHeader;
+  for (PolicyKind k : core::kAllPolicies)
+    test::emit_fault_metrics(os, std::string(core::policy_name(k)),
+                             run_profile("hostile", k));
+  test::expect_golden("fault_metrics.golden", os.str(), "fault_test");
 }
 
 // ---------------------------------------------------------------------------

@@ -96,9 +96,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0u, 1u, 2u, 3u),
                        ::testing::Values(std::string("none"),
                                          std::string("hostile"))),
-    [](const auto& info) {
-      return "batch" + std::to_string(std::get<0>(info.param)) + "_" +
-             std::get<1>(info.param);
+    [](const auto& test_info) {
+      return "batch" + std::to_string(std::get<0>(test_info.param)) + "_" +
+             std::get<1>(test_info.param);
     });
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for tools/its_lint: every rule must fire exactly where the
 // fixtures under tests/lint_fixtures/ violate it, reasoned suppressions
-// must silence findings, and the cross-file registry rules must accept an
+// must silence findings, and the cross-file registry rule must accept an
 // in-sync mini-tree and flag a drifted one.
 //
 // ITS_LINT_FIXTURE_DIR is injected by tests/CMakeLists.txt.
@@ -223,7 +223,7 @@ TEST(LintSuppress, AllowOnlyCoversItsOwnRule) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry rules over the fixture mini-trees.
+// The registry rule over the fixture mini-trees.
 
 TEST(LintRegistry, CleanTreeHasNoFindings) {
   std::vector<std::string> errors;
@@ -240,11 +240,9 @@ TEST(LintRegistry, DriftedTreeFlagsEveryRegistryRule) {
       registry_inputs_for_root(fixture("registry_drift")), &errors);
   EXPECT_TRUE(errors.empty());
 
-  EXPECT_TRUE(has_finding(findings, Rule::kRegMetricsReport, "dropped_events"));
   EXPECT_TRUE(has_finding(findings, Rule::kRegConfigDoc, "hidden_knob"));
 
   // Nothing in-sync may be flagged.
-  EXPECT_FALSE(has_finding(findings, Rule::kRegMetricsReport, "major_faults"));
   EXPECT_FALSE(has_finding(findings, Rule::kRegConfigDoc, "'knob'"));
 }
 
@@ -297,17 +295,30 @@ TEST(LintExitCodes, PerRuleAndLowestWins) {
 
 TEST(LintExitCodes, RetiredCodes15Through18NameNoRule) {
   // The EventKind registry rules are gone (one X-macro table generates
-  // what they checked); codes 15-18 stay unused and 19 keeps its rule.
+  // what they checked); codes 15-18 stay unused.
   for (std::size_t i = 5; i <= 8; ++i) {
     EXPECT_EQ(exit_code_for(static_cast<Rule>(i)), static_cast<int>(10 + i));
     EXPECT_TRUE(rule_id(static_cast<Rule>(i)).empty()) << "code " << 10 + i;
   }
-  EXPECT_EQ(exit_code_for(Rule::kRegMetricsReport), 19);
   EXPECT_EQ(exit_code_for(Rule::kRegConfigDoc), 20);
   Rule r = Rule::kDetRand;
   for (const char* id :
        {"reg-kind-name", "reg-chrome-map", "reg-invariant", "reg-kind-count"})
     EXPECT_FALSE(rule_from_id(id, &r)) << id;
+}
+
+TEST(LintExitCodes, RetiredCode19NamesNoRule) {
+  // reg-metrics-report is gone: the run counters are declared once and
+  // ReportCsv.EveryRunTotalsWordReachesTheRow proves each reaches the CSV.
+  // Code 19 stays unused, so reg-config-doc keeps 20.
+  const auto retired = static_cast<Rule>(9);
+  EXPECT_EQ(exit_code_for(retired), 19);
+  EXPECT_TRUE(rule_id(retired).empty());
+  Rule r = Rule::kDetRand;
+  EXPECT_FALSE(rule_from_id("reg-metrics-report", &r));
+  EXPECT_EQ(exit_code_for(Rule::kRegConfigDoc), 20);
+  ASSERT_TRUE(rule_from_id("reg-config-doc", &r));
+  EXPECT_EQ(r, Rule::kRegConfigDoc);
 }
 
 TEST(LintExitCodes, RetiredCodes28Through32NameNoRule) {
@@ -351,7 +362,9 @@ std::vector<Finding> arch_scan(const std::string& tree,
   if (own_errors) errors = &local_errors;
   auto findings =
       scan_architecture(arch_options_for_root(fixture(tree)), graph, errors);
-  if (own_errors) EXPECT_TRUE(local_errors.empty());
+  if (own_errors) {
+    EXPECT_TRUE(local_errors.empty());
+  }
   return findings;
 }
 

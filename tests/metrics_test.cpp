@@ -1,10 +1,15 @@
 // Edge-case regression tests for the metrics helpers: the priority-half
-// finish-time split (Fig. 5a/5b) on degenerate process lists, and the DRAM
-// sizing round-up used by every experiment.
+// finish-time split (Fig. 5a/5b) on degenerate process lists, the §4.2.1
+// idle-time identity every run checks, and the DRAM sizing round-up used
+// by every experiment.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/batch.h"
 #include "core/metrics.h"
+#include "obs/invariant_checker.h"
 
 namespace its::core {
 namespace {
@@ -15,6 +20,48 @@ ProcessOutcome proc(its::Pid pid, int priority, its::SimTime finish) {
   p.priority = priority;
   p.metrics.finish_time = finish;
   return p;
+}
+
+/// Totals whose partition balances exactly: 600 + 200 + 150 + 50 == 1000.
+obs::RunTotals balanced() {
+  obs::RunTotals t;
+  t.makespan = 1000;
+  t.cpu_busy = 600;
+  t.idle = obs::IdleBreakdown{.mem_stall = 100,
+                              .busy_wait = 200,
+                              .ctx_switch = 150,
+                              .no_runnable = 50};
+  return t;
+}
+
+TEST(IdleIdentity, BalancedTotalsHold) {
+  EXPECT_TRUE(balanced().identity_violations().empty());
+  obs::RunTotals all_busy = balanced();
+  all_busy.idle.mem_stall = all_busy.cpu_busy;  // mem_stall ⊆ cpu_busy
+  EXPECT_TRUE(all_busy.identity_violations().empty());
+}
+
+TEST(IdleIdentity, OffByOneCpuBusyIsALeak) {
+  for (its::Duration cpu_busy : {599u, 601u}) {
+    obs::RunTotals t = balanced();
+    t.cpu_busy = cpu_busy;
+    const std::vector<std::string> v = t.identity_violations();
+    ASSERT_EQ(v.size(), 1u) << cpu_busy;
+    EXPECT_NE(v[0].find("accounting leak: cpu_busy + busy_wait + ctx_switch + "
+                        "no_runnable"),
+              std::string::npos)
+        << v[0];
+    // The checker's one-granule slack forgives exactly this much.
+    EXPECT_TRUE(t.identity_violations(1).empty()) << cpu_busy;
+  }
+}
+
+TEST(IdleIdentity, MemStallBeyondCpuBusyIsFlagged) {
+  obs::RunTotals t = balanced();
+  t.idle.mem_stall = t.cpu_busy + 1;
+  const std::vector<std::string> v = t.identity_violations(1000);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0], "mem_stall 601 exceeds total busy CPU time 600");
 }
 
 TEST(AvgFinish, EmptyListIsZeroNotNan) {

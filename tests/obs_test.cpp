@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <iterator>
 #include <random>
 #include <set>
@@ -18,10 +16,7 @@
 #include "obs/event_trace.h"
 #include "obs/invariant_checker.h"
 #include "obs/trace_json.h"
-
-#ifndef ITS_GOLDEN_DIR
-#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
-#endif
+#include "golden.h"
 
 namespace its::obs {
 namespace {
@@ -304,7 +299,6 @@ TEST(TraceJson, EscapesProcessNames) {
 // corrupted trace would carry.  Regenerate after an intentional change:
 //   ITS_UPDATE_GOLDEN=1 ./build/tests/obs_test
 TEST(TraceJson, EveryKindMatchesGolden) {
-  const char* path = ITS_GOLDEN_DIR "/chrome_kinds.golden";
   const auto bad = static_cast<EventKind>(200);
   EXPECT_EQ(kind_name(bad), "unknown");
 
@@ -320,23 +314,7 @@ TEST(TraceJson, EveryKindMatchesGolden) {
   opts.process_names = {"p0", "p1"};
   std::ostringstream os;
   write_chrome_trace(os, et, opts);
-  const std::string actual = os.str();
-
-  if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");
-      update != nullptr && std::string(update) == "1") {
-    std::ofstream out(path, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing " << path
-                         << " — run ITS_UPDATE_GOLDEN=1 ./obs_test";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "the per-kind Chrome mapping changed; if intentional, regenerate "
-         "with ITS_UPDATE_GOLDEN=1 ./obs_test and commit the diff";
+  test::expect_golden("chrome_kinds.golden", os.str(), "obs_test");
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // Tests for the CSV report writer and the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <type_traits>
 
 #include "core/report.h"
+#include "obs/invariant_checker.h"
 #include "util/args.h"
 
 namespace its {
@@ -46,6 +52,37 @@ TEST(ReportCsv, MetricsHeaderAndRow) {
     return std::count(s.begin(), s.end(), ',');
   };
   EXPECT_EQ(commas(header), commas(row));
+}
+
+// Every scalar run counter is one 64-bit word of obs::RunTotals, so the
+// test below can set each word alone to a sentinel: a counter that no CSV
+// column reports fails it, whatever the counter is called.
+static_assert(std::is_trivially_copyable_v<obs::RunTotals>);
+static_assert(sizeof(obs::RunTotals) % sizeof(std::uint64_t) == 0);
+
+TEST(ReportCsv, EveryRunTotalsWordReachesTheRow) {
+  constexpr std::size_t kWords = sizeof(obs::RunTotals) / sizeof(std::uint64_t);
+  for (std::size_t w = 0; w < kWords; ++w) {
+    std::array<std::uint64_t, kWords> words{};
+    const std::uint64_t sentinel = 987'654'321'000 + w;
+    words[w] = sentinel;
+    const auto totals = std::bit_cast<obs::RunTotals>(words);
+
+    core::BatchResult r;
+    r.spec = &core::paper_batches()[0];
+    core::SimMetrics m;
+    static_cast<obs::RunTotals&>(m) = totals;
+    r.by_policy.emplace(core::PolicyKind::kSync, m);
+    std::istringstream csv(core::metrics_csv({&r, 1}));
+    std::string header, row;
+    ASSERT_TRUE(std::getline(csv, header));
+    ASSERT_TRUE(std::getline(csv, row));
+    bool reported = false;
+    std::string cell;
+    for (std::istringstream cells(row); std::getline(cells, cell, ',');)
+      reported = reported || cell == std::to_string(sentinel);
+    EXPECT_TRUE(reported) << "RunTotals word " << w << " is not in " << row;
+  }
 }
 
 TEST(ReportCsv, ProcessesRows) {

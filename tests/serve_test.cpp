@@ -28,15 +28,10 @@
 #include "serve/sweep.h"
 #include "util/quantile.h"
 #include "util/types.h"
+#include "golden.h"
 
 namespace its::serve {
 namespace {
-
-#ifndef ITS_GOLDEN_DIR
-#error "ITS_GOLDEN_DIR must point at the checked-in golden directory"
-#endif
-
-const char* kGoldenPath = ITS_GOLDEN_DIR "/serve_metrics.golden";
 
 /// A small, fast serving point: a bursty 10 ms window at ~2000 req/s over
 /// an overcommitted pool — a couple dozen requests, enough to exercise
@@ -49,11 +44,6 @@ ServeConfig tiny_serve() {
   cfg.admit_limit = 12;
   cfg.overcommit = 2.0;
   return cfg;
-}
-
-bool fault_profile_active() {
-  const char* fp = std::getenv("ITS_FAULT_PROFILE");
-  return fp != nullptr && std::string(fp) != "none";
 }
 
 // ---------------------------------------------------------------------------
@@ -283,28 +273,10 @@ std::string snapshot() {
 }
 
 TEST(ServeGolden, MetricsMatchCheckedInSnapshot) {
-  if (fault_profile_active())
+  if (test::fault_profile_forced())
     GTEST_SKIP() << "golden snapshot is fault-free";
 
-  std::string actual = snapshot();
-
-  if (const char* update = std::getenv("ITS_UPDATE_GOLDEN");
-      update != nullptr && std::string(update) == "1") {
-    std::ofstream out(kGoldenPath, std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-    out << actual;
-    GTEST_SKIP() << "regenerated " << kGoldenPath;
-  }
-
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in.good())
-      << "missing golden file " << kGoldenPath
-      << " — run ITS_UPDATE_GOLDEN=1 ./serve_test to create it";
-  std::ostringstream expected;
-  expected << in.rdbuf();
-  EXPECT_EQ(actual, expected.str())
-      << "serving metrics diverged; if intentional, regenerate with "
-         "ITS_UPDATE_GOLDEN=1 ./serve_test and commit the diff";
+  test::expect_golden("serve_metrics.golden", snapshot(), "serve_test");
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "core/simulator.h"
 #include "trace/instr.h"
@@ -243,6 +244,20 @@ TEST(Simulator, RejectsSparsePids) {
 TEST(Simulator, RunWithoutProcessesThrows) {
   Simulator sim(small_config(), PolicyKind::kSync);
   EXPECT_THROW(sim.run(), std::logic_error);
+}
+
+TEST(Simulator, EveryRunChecksTheIdleTimeIdentity) {
+  // run() verifies the §4.2.1 partition before it returns and throws
+  // AccountingError, a logic_error, if a run ever leaks time.
+  static_assert(std::is_base_of_v<std::logic_error, AccountingError>);
+  for (PolicyKind k : kAllPolicies) {
+    Simulator sim(small_config(), k);
+    sim.add_process(std::make_unique<sched::Process>(0, "a", 30, page_walker(6, 50)));
+    sim.add_process(std::make_unique<sched::Process>(1, "b", 10, page_walker(6, 0)));
+    SimMetrics m;
+    EXPECT_NO_THROW(m = sim.run()) << policy_name(k);
+    EXPECT_TRUE(m.identity_violations().empty()) << policy_name(k);
+  }
 }
 
 TEST(Simulator, PreexecCachePoliciesHalveLlc) {

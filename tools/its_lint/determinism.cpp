@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint.h"
@@ -126,10 +127,10 @@ void scan_rand(const SourceFile& f, const JoinedCode& j,
       bool call_like = after < j.text.size() &&
                        (j.text[after] == '(' || banned == "random_device");
       if (call_like) {
-        out->push_back({f.path, j.line_of(at), Rule::kDetRand,
-                        "'" + std::string(banned) +
-                            "' is not seed-reproducible; draw from "
-                            "util::Rng (PCG32) instead"});
+        std::string msg(1, '\'');
+        msg.append(banned).append(
+            "' is not seed-reproducible; draw from util::Rng (PCG32) instead");
+        out->push_back({f.path, j.line_of(at), Rule::kDetRand, std::move(msg)});
       }
       at += banned.size();
     }
@@ -170,10 +171,11 @@ void scan_clock(const SourceFile& f, const JoinedCode& j,
         "gettimeofday", "clock_gettime", "timespec_get"}) {
     std::size_t at = 0;
     while ((at = find_word(j.text, banned, at)) != std::string_view::npos) {
-      out->push_back({f.path, j.line_of(at), Rule::kDetClock,
-                      "'" + std::string(banned) +
-                          "' reads the host clock; simulation time "
-                          "(its::SimTime) is the only clock here"});
+      std::string msg(1, '\'');
+      msg.append(banned).append(
+          "' reads the host clock; simulation time (its::SimTime) is the "
+          "only clock here");
+      out->push_back({f.path, j.line_of(at), Rule::kDetClock, std::move(msg)});
       at += banned.size();
     }
   }

@@ -9,11 +9,12 @@
 //      hash-order iteration feeding the trace/metrics path.  These do not
 //      fail a test on the machine that introduced them; they fail weeks
 //      later on someone else's libstdc++.
-//   2. *Registry drift* — the hand-maintained lists that must stay in
-//      sync with `SimMetrics` (the CSV report) and with `SimConfig` (the
-//      docs).  A forgotten entry corrupts accounting or documentation
-//      without tripping any runtime check.  (The EventKind tables need no
-//      rule: one X-macro generates them all.)
+//   2. *Registry drift* — the docs must name every `SimConfig` field.  A
+//      forgotten entry leaves a knob without a written contract and trips
+//      no runtime check.  (The EventKind tables need no rule: one X-macro
+//      generates them all.  Neither does the CSV report: the run counters
+//      are declared once, in obs::RunTotals, one column list writes the
+//      CSV, and report_args_test proves every counter reaches it.)
 //
 // This tool scans `src/` at lint time (ctest label `lint`, CI job `lint`)
 // with a small comment/string-stripping tokenizer and flags both classes.
@@ -43,10 +44,10 @@ enum class Rule : std::size_t {
   kDetPtrKey,         ///< Pointer-keyed ordered containers.
   kDetDoubleNs,       ///< double accumulation of nanosecond quantities.
   // 5-8 (exit codes 15-18) belonged to the retired EventKind registry
-  // rules (reg-kind-name, reg-chrome-map, reg-invariant, reg-kind-count);
-  // they stay unused so no later rule's exit code moves.
-  kRegMetricsReport = 9,  ///< SimMetrics counter missing from report.cpp.
-  kRegConfigDoc,      ///< SimConfig field undocumented in docs//README.
+  // rules (reg-kind-name, reg-chrome-map, reg-invariant, reg-kind-count)
+  // and 9 (exit code 19) to the retired reg-metrics-report; they stay
+  // unused so no later rule's exit code moves.
+  kRegConfigDoc = 10,  ///< SimConfig field undocumented in docs//README.
   kBadSuppress,       ///< Malformed/unreasoned its-lint: allow(...).
   kArchLayer,         ///< Module edge absent from docs/architecture.layers.
   kArchCycle,         ///< Header-level include cycle.
@@ -125,12 +126,10 @@ bool contains_word(std::string_view line, std::string_view word);
 std::vector<Finding> scan_determinism(const SourceFile& f);
 
 // ---------------------------------------------------------------------------
-// Registry rules (cross-file).
+// Registry rule (cross-file).
 
-/// The files the registry rules read, resolved relative to --root.
+/// The files the registry rule reads, resolved relative to --root.
 struct RegistryInputs {
-  std::string metrics_h;           ///< src/core/metrics.h
-  std::string report_cpp;          ///< src/core/report.cpp
   std::string config_h;            ///< src/core/config.h
   std::vector<std::string> docs;   ///< README.md + docs/*.md
 };

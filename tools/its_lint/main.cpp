@@ -6,7 +6,7 @@
 //
 // With no paths, scans <root>/src with every rule.  Explicit paths run the
 // per-file determinism rules on exactly those files/directories (the
-// registry rules still resolve against --root unless --no-registry; the
+// registry rule still resolves against --root unless --no-registry; the
 // whole-program architecture and units passes only run on full-tree
 // scans).  --arch-only / --units-only restrict a run to one whole-program
 // family; --dot writes the module dependency graph as Graphviz to PATH
@@ -14,7 +14,7 @@
 //
 // Exit codes: 0 clean, 1 usage/IO error, 10+N when rule N fired.  When
 // several distinct rules fire, the exit code is the LOWEST firing rule's
-// code (see --list-rules for the mapping).  Codes 15-18 and 28-32 are
+// code (see --list-rules for the mapping).  Codes 15-19 and 28-32 are
 // retired.
 #include "lint.h"
 
@@ -35,7 +35,7 @@ int list_rules() {
               << its::lint::rule_summary(r) << "\n";
   }
   std::cout << "\nWhen several distinct rules fire in one run, the exit "
-               "code is the lowest\nfiring rule's code.  Codes 15-18 and "
+               "code is the lowest\nfiring rule's code.  Codes 15-19 and "
                "28-32 are retired.\n";
   return its::lint::kExitClean;
 }

@@ -1,11 +1,13 @@
-// Registry rules: the cross-file consistency checks.
+// Registry rule: the cross-file consistency check.
 //
-// Two registries must agree with a source of truth the compiler cannot
-// generate them from: SimMetrics drives the CSV report, and SimConfig
-// drives the configuration prose in docs/.  Each rule parses the
-// source-of-truth struct and greps the dependent files for every field.
+// One registry must agree with a source of truth the compiler cannot
+// generate it from: SimConfig drives the configuration prose in docs/.
+// The rule parses the struct and greps the docs for every field.
 // (EventKind needs no rule: its names, Chrome phases and checker
-// timelines are generated from the ITS_EVENT_KINDS table.)
+// timelines are generated from the ITS_EVENT_KINDS table.  SimMetrics
+// needs none either: its counters are declared once, in obs::RunTotals,
+// one column list writes the CSV, and a test proves every counter word
+// reaches it.)
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
@@ -112,8 +114,6 @@ RegistryInputs registry_inputs_for_root(const std::string& root) {
     fs::path p = fs::path(root) / rel;
     return fs::exists(p) ? p.string() : std::string();
   };
-  in.metrics_h = pick("src/core/metrics.h");
-  in.report_cpp = pick("src/core/report.cpp");
   in.config_h = pick("src/core/config.h");
   fs::path readme = fs::path(root) / "README.md";
   if (fs::exists(readme)) in.docs.push_back(readme.string());
@@ -145,28 +145,6 @@ bool load_or_report(const std::string& path, SourceFile* f,
 std::vector<Finding> scan_registry(const RegistryInputs& in,
                                    std::vector<std::string>* errors) {
   std::vector<Finding> out;
-
-  SourceFile metrics_h;
-  if (load_or_report(in.metrics_h, &metrics_h, errors)) {
-    std::vector<std::string> fields =
-        parse_struct_fields(metrics_h, "SimMetrics");
-    std::vector<std::string> idle =
-        parse_struct_fields(metrics_h, "IdleBreakdown");
-    fields.insert(fields.end(), idle.begin(), idle.end());
-    SourceFile report;
-    if (!fields.empty() && load_or_report(in.report_cpp, &report, errors)) {
-      std::string text = joined_code(report);
-      for (const std::string& field : fields) {
-        if (!contains_word(text, field))
-          out.push_back({report.path, 0, Rule::kRegMetricsReport,
-                         "SimMetrics counter '" + field +
-                             "' is accumulated but never reported — add "
-                             "it to a CSV writer in report.cpp"});
-      }
-    } else if (fields.empty()) {
-      errors->push_back(in.metrics_h + ": could not parse struct SimMetrics");
-    }
-  }
 
   SourceFile config_h;
   if (load_or_report(in.config_h, &config_h, errors)) {

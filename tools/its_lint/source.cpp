@@ -32,9 +32,7 @@ constexpr RuleInfo kRules[kNumRules] = {
     {"det-double-ns",
      "double-precision accumulation of nanosecond quantities outside "
      "src/util/stats.* (silent rounding corrupts accounting)"},
-    {}, {}, {}, {},  // retired EventKind registry rules (exit codes 15-18)
-    {"reg-metrics-report",
-     "SimMetrics counter missing from report.cpp"},
+    {}, {}, {}, {}, {},  // retired registry rules (exit codes 15-19)
     {"reg-config-doc",
      "SimConfig field not mentioned in docs/ or README.md"},
     {"lint-bad-suppress",
@@ -139,7 +137,7 @@ std::string strip_comments_and_strings(std::string_view text) {
             out += c;
             break;
           }
-          raw_delim = ")";
+          raw_delim.assign(1, ')');
           raw_delim.append(text.substr(i + 2, open - (i + 2)));
           raw_delim += '"';
           for (std::size_t j = i; j <= open; ++j)
