@@ -55,19 +55,39 @@ void BM_PageTableCursor(benchmark::State& state) {
 }
 BENCHMARK(BM_PageTableCursor);
 
-void BM_CacheAccess(benchmark::State& state) {
-  mem::SetAssocCache c({static_cast<std::uint64_t>(state.range(0)) << 20, 16, 64, 1});
-  util::Rng rng(2);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(c.access(rng.below(64ull << 20)));
+// Random addresses over 64 MiB, drawn before the timed loop so that it times
+// the cache and not Rng::below's divisions.
+std::vector<its::PhysAddr> random_addrs(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<its::PhysAddr> addrs(1u << 16);
+  for (its::PhysAddr& a : addrs) a = rng.below(64ull << 20);
+  return addrs;
 }
-BENCHMARK(BM_CacheAccess)->Arg(1)->Arg(4)->Arg(8);
+
+// Args: size in KiB, ways.  32/8 and 256/8 are the L1 and L2 geometries,
+// 4096/16 and 8192/16 the LLC with and without the pre-execute carve-out.
+void BM_CacheAccess(benchmark::State& state) {
+  mem::SetAssocCache c({static_cast<std::uint64_t>(state.range(0)) << 10,
+                        static_cast<unsigned>(state.range(1)), 64, 1});
+  const std::vector<its::PhysAddr> addrs = random_addrs(2);
+  std::size_t i = 0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(c.access(addrs[i++ & (addrs.size() - 1)]));
+}
+BENCHMARK(BM_CacheAccess)
+    ->ArgNames({"kib", "ways"})
+    ->Args({32, 8})
+    ->Args({256, 8})
+    ->Args({1024, 16})
+    ->Args({4096, 16})
+    ->Args({8192, 16});
 
 void BM_HierarchyAccess(benchmark::State& state) {
   mem::CacheHierarchy h;
-  util::Rng rng(3);
+  const std::vector<its::PhysAddr> addrs = random_addrs(3);
+  std::size_t i = 0;
   for (auto _ : state)
-    benchmark::DoNotOptimize(h.access(rng.below(64ull << 20), 8));
+    benchmark::DoNotOptimize(h.access(addrs[i++ & (addrs.size() - 1)], 8));
 }
 BENCHMARK(BM_HierarchyAccess);
 

@@ -6,6 +6,7 @@
 #include "cpu/preexec_engine.h"
 #include "fs/file_system.h"
 #include "fs/page_cache.h"
+#include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "obs/event_trace.h"
 #include "sched/cfs.h"
@@ -24,6 +25,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace its::core {
 
@@ -41,6 +43,23 @@ mem::HierarchyConfig Simulator::hierarchy_for(const SimConfig& cfg, const IoPoli
   return h;
 }
 
+namespace {
+
+/// `dram_bytes`, if every physical address below it has a tag at every
+/// cache level.  Checked before the frame pool allocates per-frame state.
+its::Bytes checked_dram_bytes(its::Bytes dram_bytes, const mem::CacheHierarchy& caches) {
+  const std::pair<const char*, const mem::SetAssocCache*> levels[] = {
+      {"L1", &caches.l1()}, {"L2", &caches.l2()}, {"LLC", &caches.llc()}};
+  for (const auto& [name, cache] : levels)
+    if (dram_bytes > cache->max_phys_bytes())
+      throw std::invalid_argument("Simulator: dram_bytes " + std::to_string(dram_bytes) +
+                                  " is past the " + name + "'s 32-bit tag range (max_phys_bytes " +
+                                  std::to_string(cache->max_phys_bytes()) + ")");
+  return dram_bytes;
+}
+
+}  // namespace
+
 Simulator::Simulator(const SimConfig& cfg, PolicyKind policy)
     : Simulator(cfg, make_policy(policy)) {}
 
@@ -51,7 +70,7 @@ Simulator::Simulator(const SimConfig& cfg, std::unique_ptr<IoPolicy> policy)
       px_(cfg.px_cache),
       engine_(cfg.preexec, caches_, px_),
       tlb_(cfg.tlb_entries),
-      frames_(cfg.dram_bytes),
+      frames_(checked_dram_bytes(cfg.dram_bytes, caches_)),
       swap_(),
       finj_(cfg.fault),
       retry_(cfg.fault.max_retries, cfg.fault.backoff_base,

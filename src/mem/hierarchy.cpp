@@ -2,6 +2,7 @@
 
 #include "util/types.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace its::mem {
@@ -57,6 +58,10 @@ void CacheHierarchy::invalidate_page(its::PhysAddr page_base) {
   l1_.invalidate_range(page_base, its::kPageSize);
   l2_.invalidate_range(page_base, its::kPageSize);
   llc_.invalidate_range(page_base, its::kPageSize);
+}
+
+its::Bytes CacheHierarchy::max_phys_bytes() const {
+  return std::min({l1_.max_phys_bytes(), l2_.max_phys_bytes(), llc_.max_phys_bytes()});
 }
 
 void CacheHierarchy::reset_stats() {

@@ -53,6 +53,10 @@ class CacheHierarchy {
   const SetAssocCache& llc() const { return llc_; }
   const HierarchyConfig& config() const { return cfg_; }
 
+  /// The smallest of the levels' SetAssocCache::max_phys_bytes(): physical
+  /// memory must end there, or its top lines would have no tag.
+  its::Bytes max_phys_bytes() const;
+
   std::uint64_t llc_misses() const { return llc_.stats().misses; }
   std::uint64_t total_accesses() const {
     return l1_.stats().hits + l1_.stats().misses;

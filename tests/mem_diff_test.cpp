@@ -1,16 +1,18 @@
 // Differential test (ctest label `mem`): the TLB, the set-associative cache
 // and the cache hierarchy against reference copies of the structures they
-// replaced — a std::list + std::unordered_map TLB, a cache whose ways are
-// {tag, lru, valid} records with a resident-line count per 4 KiB region,
-// and a hierarchy that refills the upper levels after a lower-level hit.
-// Every call of a seeded random op stream must return the same value, and
-// the counters and occupancy must agree after every op.
+// replaced — a std::list + std::unordered_map TLB, two caches (one whose
+// ways are {tag, lru, valid} records with a resident-line count per 4 KiB
+// region, one with whole-line tags, 64-bit LRU stamps and resident-line
+// masks), and a hierarchy that refills the upper levels after a lower-level
+// hit.  Every call of a seeded random op stream must return the same value,
+// and the counters and occupancy must agree after every op.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <list>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -224,6 +226,127 @@ class RefCache {
   CacheStats stats_;
 };
 
+/// The second reference cache: every way holds its whole line number (all
+/// ones when empty) and a 64-bit LRU stamp from a per-cache tick, in two
+/// parallel arrays; the victim is the last empty way, else the oldest
+/// stamp.  Page invalidation visits the set bits of one resident mask per
+/// 64 lines.
+class StampCache {
+ public:
+  explicit StampCache(const CacheConfig& cfg) : cfg_(cfg) {
+    const std::uint64_t lines = cfg.size_bytes / cfg.line_size;
+    num_sets_ = lines / cfg.ways;
+    tags_.assign(lines, kEmpty);
+    stamps_.assign(lines, 0);
+    line_shift_ = static_cast<unsigned>(std::countr_zero(cfg.line_size));
+  }
+
+  bool access(its::VirtAddr addr) {
+    const bool hit = touch_or_insert(line_of(addr));
+    ++(hit ? stats_.hits : stats_.misses);
+    return hit;
+  }
+
+  void fill(its::VirtAddr addr) { touch_or_insert(line_of(addr)); }
+
+  bool probe(its::VirtAddr addr) const {
+    const std::uint64_t line = line_of(addr);
+    const std::uint64_t* t = &tags_[set_base(line)];
+    return std::find(t, t + cfg_.ways, line) != t + cfg_.ways;
+  }
+
+  bool invalidate(its::VirtAddr addr) { return invalidate_line(line_of(addr)); }
+
+  void invalidate_range(std::uint64_t base, std::uint64_t len) {
+    if (len == 0 || resident_.empty()) return;
+    const std::uint64_t first = line_of(base);
+    const std::uint64_t last = line_of(base + len - 1);
+    const std::uint64_t r_end = std::min<std::uint64_t>(last >> 6, resident_.size() - 1);
+    for (std::uint64_t r = first >> 6; r <= r_end; ++r) {
+      const unsigned lo = r == first >> 6 ? static_cast<unsigned>(first & 63) : 0;
+      const unsigned hi = r == last >> 6 ? static_cast<unsigned>(last & 63) : 63;
+      std::uint64_t hit = resident_[r] & (~0ull << lo) & (~0ull >> (63 - hi));
+      while (hit != 0) {
+        invalidate_line((r << 6) | static_cast<unsigned>(std::countr_zero(hit)));
+        hit &= hit - 1;
+      }
+    }
+  }
+
+  void invalidate_all() {
+    stats_.invalidations += lines_resident();
+    std::fill(tags_.begin(), tags_.end(), kEmpty);
+    std::fill(resident_.begin(), resident_.end(), 0);
+  }
+
+  const CacheStats& stats() const { return stats_; }
+  std::uint64_t lines_resident() const {
+    return static_cast<std::uint64_t>(
+        std::count_if(tags_.begin(), tags_.end(), [](std::uint64_t t) { return t != kEmpty; }));
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~0ull;
+
+  std::uint64_t line_of(its::VirtAddr addr) const { return addr >> line_shift_; }
+  std::size_t set_base(std::uint64_t line) const {
+    return static_cast<std::size_t>(line % num_sets_) * cfg_.ways;
+  }
+
+  bool touch_or_insert(std::uint64_t line) {
+    const std::size_t base = set_base(line);
+    unsigned empty = cfg_.ways;
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      if (tags_[base + w] == line) {
+        stamps_[base + w] = ++tick_;
+        return true;
+      }
+      if (tags_[base + w] == kEmpty) empty = w;  // the last empty way wins
+    }
+    std::size_t victim = base + empty;
+    if (empty == cfg_.ways) {  // set full: the oldest stamp
+      victim = base;
+      for (unsigned w = 1; w < cfg_.ways; ++w)
+        if (stamps_[base + w] < stamps_[victim]) victim = base + w;
+      ++stats_.evictions;
+      set_resident(tags_[victim], false);
+    }
+    set_resident(line, true);
+    tags_[victim] = line;
+    stamps_[victim] = ++tick_;
+    return false;
+  }
+
+  bool invalidate_line(std::uint64_t line) {
+    const std::size_t base = set_base(line);
+    for (unsigned w = 0; w < cfg_.ways; ++w) {
+      if (tags_[base + w] == line) {
+        tags_[base + w] = kEmpty;
+        ++stats_.invalidations;
+        set_resident(line, false);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void set_resident(std::uint64_t line, bool resident) {
+    const std::uint64_t r = line >> 6;
+    if (r >= resident_.size()) resident_.resize(r + 1, 0);
+    const std::uint64_t bit = 1ull << (line & 63);
+    resident_[r] = resident ? resident_[r] | bit : resident_[r] & ~bit;
+  }
+
+  CacheConfig cfg_;
+  std::uint64_t num_sets_ = 0;
+  unsigned line_shift_ = 0;
+  std::uint64_t tick_ = 0;
+  std::vector<std::uint64_t> tags_;
+  std::vector<std::uint64_t> stamps_;
+  std::vector<std::uint64_t> resident_;  ///< Per 64-line region.
+  CacheStats stats_;
+};
+
 /// The reference hierarchy: after a lower-level hit or a memory fill it
 /// fills the line again at every level above.
 class RefHierarchy {
@@ -358,7 +481,8 @@ its::PhysAddr random_addr(util::Rng& rng, const CacheConfig& cfg) {
   return (tag * sets + set) * cfg.line_size + rng.below(cfg.line_size);
 }
 
-void expect_same_cache(const SetAssocCache& got, const RefCache& want, std::uint64_t op) {
+template <class Ref>
+void expect_same_cache(const SetAssocCache& got, const Ref& want, std::uint64_t op) {
   ASSERT_EQ(got.stats().hits, want.stats().hits) << "op " << op;
   ASSERT_EQ(got.stats().misses, want.stats().misses) << "op " << op;
   ASSERT_EQ(got.stats().evictions, want.stats().evictions) << "op " << op;
@@ -369,9 +493,10 @@ void expect_same_cache(const SetAssocCache& got, const RefCache& want, std::uint
   }
 }
 
+template <class Ref = RefCache>
 void run_cache(const CacheConfig& cfg, std::uint64_t seed, std::uint64_t ops) {
   SetAssocCache cache(cfg);
-  RefCache ref(cfg);
+  Ref ref(cfg);
   util::Rng rng(seed);
   for (std::uint64_t op = 0; op < ops; ++op) {
     const std::uint64_t pick = rng.below(10'000);
@@ -412,6 +537,55 @@ TEST(CacheDiff, L1MatchesWayModel) { run_cache(HierarchyConfig{}.l1, 34, 100'000
 TEST(CacheDiff, L2MatchesWayModel) { run_cache(HierarchyConfig{}.l2, 35, 100'000); }
 TEST(CacheDiff, Llc4MiBMatchesWayModel) { run_cache({4_MiB, 16, 64, 14}, 36, 100'000); }
 TEST(CacheDiff, Llc8MiBMatchesWayModel) { run_cache(HierarchyConfig{}.llc, 37, 100'000); }
+TEST(CacheDiff, OneWayMatchesWayModel) { run_cache({1024, 1, 64, 1}, 38, 100'000); }
+// Six ways pad to eight lanes: the two padding lanes must never count as
+// empty ways or as resident lines.
+TEST(CacheDiff, SixWaysMatchWayModel) { run_cache({24 * 1024, 6, 64, 1}, 39, 100'000); }
+
+struct Geometry {
+  const char* name;
+  CacheConfig cfg;
+};
+
+class StampModelDiff : public ::testing::TestWithParam<Geometry> {};
+
+TEST_P(StampModelDiff, MatchesStampModel) {
+  run_cache<StampCache>(GetParam().cfg, 51, 100'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, StampModelDiff,
+    ::testing::Values(Geometry{"Tiny", {1024, 2, 64, 1}},
+                      Geometry{"ThirtyTwoByteLines", {2048, 4, 32, 1}},
+                      Geometry{"NonPowerOfTwoSets", {3 * 1024, 4, 64, 1}},
+                      Geometry{"L1", HierarchyConfig{}.l1},
+                      Geometry{"L2", HierarchyConfig{}.l2},
+                      Geometry{"Llc4MiB", {4_MiB, 16, 64, 14}},
+                      Geometry{"Llc8MiB", HierarchyConfig{}.llc},
+                      Geometry{"OneWay", {1024, 1, 64, 1}},
+                      Geometry{"SixWays", {24 * 1024, 6, 64, 1}}),
+    [](const ::testing::TestParamInfo<Geometry>& p) { return std::string(p.param.name); });
+
+// CI builds only x86-64, where the cache always takes the SSE2 match; this
+// pins the scalar fallback to it.  Lanes hold tags from a pool of five
+// (empty included), so every lane count sees zero, one and many matches,
+// padding lanes too.
+TEST(SetMatch, ScalarFallbackAgreesWithSse2) {
+#if defined(__SSE2__)
+  alignas(64) std::uint32_t set[16];
+  const std::uint32_t pool[] = {0, 1, 0x7fffffffu, 0xfffffffeu, ~0u};
+  util::Rng rng(61);
+  for (int trial = 0; trial < 20'000; ++trial) {
+    for (std::uint32_t& lane : set) lane = pool[rng.below(5)];
+    const std::uint32_t tag = pool[rng.below(5)];
+    for (unsigned lanes = 4; lanes <= 16; lanes += 4)
+      ASSERT_EQ(match_lanes_sse2(set, lanes, tag), match_lanes_scalar(set, lanes, tag))
+          << "trial " << trial << " lanes " << lanes;
+  }
+#else
+  GTEST_SKIP() << "no SSE2 on this target";
+#endif
+}
 
 // ---------------------------------------------------------- Hierarchy ---
 

@@ -2,6 +2,8 @@
 // pre-execute cache's per-byte INV semantics.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 #include "mem/preexec_cache.h"
@@ -71,6 +73,31 @@ TEST(SetAssocCache, RejectsBadGeometry) {
   EXPECT_THROW(SetAssocCache({1024, 0, 64, 1}), std::invalid_argument);
   EXPECT_THROW(SetAssocCache({1024, 2, 48, 1}), std::invalid_argument);  // not pow2
   EXPECT_THROW(SetAssocCache({100, 3, 64, 1}), std::invalid_argument);
+}
+
+TEST(SetAssocCache, RejectsMoreThanSixteenWays) {
+  // A set's LRU order is one 64-bit word of 4-bit ranks.
+  EXPECT_THROW(SetAssocCache({17 * 64, 17, 64, 1}), std::invalid_argument);
+  EXPECT_NO_THROW(SetAssocCache({16 * 64, 16, 64, 1}));
+}
+
+TEST(SetAssocCache, TagPastThirtyTwoBitsThrowsInsteadOfAliasing) {
+  SetAssocCache c(tiny_cache());  // 8 sets of 64-byte lines: 512 bytes per tag
+  EXPECT_EQ(c.max_phys_bytes(), 512 * 0xffffffffull);
+  c.access(0x0);
+  // Tag 2^32 truncated to 32 bits would be line 0's tag.
+  const its::PhysAddr alias = 512ull << 32;
+  EXPECT_THROW(c.access(alias), std::out_of_range);
+  EXPECT_THROW(c.fill(alias), std::out_of_range);
+  EXPECT_THROW(c.probe(alias), std::out_of_range);
+  EXPECT_THROW(c.invalidate(alias), std::out_of_range);
+  // All ones marks an empty way, so the range ends one tag short of 2^32.
+  EXPECT_THROW(c.access(c.max_phys_bytes()), std::out_of_range);
+  EXPECT_FALSE(c.probe(c.max_phys_bytes() - 1));
+  EXPECT_TRUE(c.probe(0x0));
+  EXPECT_EQ(c.stats().hits, 0u);
+  EXPECT_EQ(c.stats().misses, 1u);
+  EXPECT_EQ(c.lines_resident(), 1u);
 }
 
 TEST(SetAssocCache, RejectsOneByteLines) {
@@ -180,6 +207,13 @@ TEST(Hierarchy, InvalidatePageDropsAllLevels) {
   h.invalidate_page(0x50000);
   EXPECT_FALSE(h.probe(0x50000));
   EXPECT_FALSE(h.probe(0x50FC0));
+}
+
+TEST(Hierarchy, MaxPhysBytesIsTheSmallestTagRange) {
+  CacheHierarchy h;  // L1 has the fewest sets: 4 KiB per tag
+  EXPECT_EQ(h.max_phys_bytes(), h.l1().max_phys_bytes());
+  EXPECT_EQ(h.max_phys_bytes(), 4096 * 0xffffffffull);
+  EXPECT_LT(h.l1().max_phys_bytes(), h.l2().max_phys_bytes());
 }
 
 TEST(Hierarchy, LlcMissCounter) {

@@ -9,6 +9,7 @@
 #include <type_traits>
 
 #include "core/simulator.h"
+#include "mem/hierarchy.h"
 #include "trace/instr.h"
 
 namespace its::core {
@@ -64,6 +65,30 @@ TEST(Simulator, RejectsMoreProcessesThanPidKeysHold) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("65536"), std::string::npos) << e.what();
   }
+}
+
+/// The invalid_argument message from constructing a Sync simulator on `cfg`.
+std::string construction_error(const SimConfig& cfg) {
+  try {
+    Simulator sim(cfg, PolicyKind::kSync);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Simulator, RejectsDramPastTheCachesTagRange) {
+  // Past max_phys_bytes a line's tag needs more than 32 bits; the check
+  // runs before the frame pool would allocate state for every frame.
+  SimConfig cfg = small_config();
+  cfg.dram_bytes = mem::CacheHierarchy(cfg.hierarchy).max_phys_bytes() + its::kPageSize;
+  std::string err = construction_error(cfg);
+  EXPECT_NE(err.find("past the L1's"), std::string::npos) << err;
+  // 32 sets: now the LLC has the fewest sets, and the lowest limit.
+  cfg.hierarchy.llc = {32_KiB, 16, 64, 14};
+  cfg.dram_bytes = mem::CacheHierarchy(cfg.hierarchy).max_phys_bytes() + its::kPageSize;
+  err = construction_error(cfg);
+  EXPECT_NE(err.find("past the LLC's"), std::string::npos) << err;
 }
 
 TEST(Simulator, SingleProcessRunsToCompletion) {
