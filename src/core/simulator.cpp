@@ -80,7 +80,9 @@ Simulator::Simulator(const SimConfig& cfg, std::unique_ptr<IoPolicy> policy)
       va_pf_(cfg.va_prefetch),
       pop_pf_(cfg.pop_prefetch),
       stride_pf_(cfg.stride_prefetch),
-      sched_(make_scheduler(cfg)) {
+      sched_(make_scheduler(cfg)),
+      transfer_done_(frames_.num_frames()) {
+  cluster_.reserve(std::max(cfg_.swap_cluster_pages, 1u));
   // The devices consult the injector on every operation; with the profile
   // disabled the injector is inert and the devices behave exactly as the
   // perfect-device model.
@@ -257,10 +259,7 @@ bool Simulator::do_mem_access(Process& p, const Instr& in) {
         ++p.metrics().prefetches_received;
         ++m_.prefetch_useful;
         if (trace_) trace_->record(EventKind::kPrefetchHit, clock_, p.pid(), vpn);
-        vm::Pte* pte = p.mm().pte(vpn);
-        pte->map(pte->pfn());
-        pte->set_inv(false);  // fresh-from-device data is valid
-        p.mm().note_mapped();
+        map_resident(p, p.mm().pte(vpn));
         break;  // retry: now mapped
       }
       case vm::FaultType::kMajor:
@@ -289,27 +288,59 @@ void Simulator::do_translated_access(Process& p, const Instr& in, its::Vpn vpn) 
   if (r.llc_miss()) {
     ++p.metrics().llc_misses;
     ++m_.llc_misses;
-    if (policy_->runahead_on_llc_miss()) {
-      // Traditional runahead: pre-execute under the DRAM service shadow.
-      // The stall itself is still idle time (the process cannot proceed);
-      // the payoff arrives as future cache hits (Fig. 4c).
-      auto ep = engine_.run(p.trace(), p.pc(), p.rf(), p.mm(),
-                            cfg_.hierarchy.dram_latency);
-      if (ep.ran) {
-        its::Duration stolen =
-            std::min<its::Duration>(ep.used, cfg_.hierarchy.dram_latency);
-        p.metrics().stolen += stolen;
-        m_.stolen_time += stolen;
-        ++m_.preexec_episodes;
-        m_.preexec_lines_warmed += ep.lines_warmed;
-        if (trace_) {
-          trace_->record(EventKind::kPreexecBegin, clock_, p.pid(), p.pc());
-          trace_->record(EventKind::kPreexecEnd, clock_, p.pid(), p.pc(),
-                         ep.used, stolen);
-        }
-      }
-    }
+    // Traditional runahead: pre-execute under the DRAM service shadow.
+    // The stall itself is still idle time (the process cannot proceed);
+    // the payoff arrives as future cache hits (Fig. 4c).
+    if (policy_->runahead_on_llc_miss())
+      run_preexec(p, cfg_.hierarchy.dram_latency, cfg_.hierarchy.dram_latency);
   }
+}
+
+its::Duration Simulator::run_preexec(Process& p, its::Duration budget,
+                                     its::Duration steal_cap) {
+  const cpu::EpisodeResult ep =
+      engine_.run(p.trace(), p.pc(), p.rf(), p.mm(), budget);
+  if (!ep.ran) return 0;
+  const its::Duration stolen = std::min(ep.used, steal_cap);
+  p.metrics().stolen += stolen;
+  m_.stolen_time += stolen;
+  ++m_.preexec_episodes;
+  m_.preexec_lines_warmed += ep.lines_warmed;
+  if (trace_) {
+    trace_->record(EventKind::kPreexecBegin, clock_, p.pid(), p.pc());
+    trace_->record(EventKind::kPreexecEnd, clock_, p.pid(), p.pc(), ep.used,
+                   stolen);
+  }
+  return ep.used;
+}
+
+template <typename Prefetch>
+its::Duration Simulator::steal_wait(Process& p, const FaultPlan& plan,
+                                    its::Duration wait, Prefetch prefetch) {
+  its::Duration utilized = 0;
+  // §3.2: transitioning from the page fault handler into the ITS kernel
+  // thread costs hundreds of nanoseconds — charged against the wait.
+  if (plan.prefetch != PrefetchKind::kNone)
+    utilized = cfg_.kernel_thread_entry + prefetch();
+  if (plan.preexec && utilized < wait) utilized += run_preexec(p, wait - utilized);
+  utilized = std::min(utilized, wait);
+  // The whole wait is CPU idle time ("the time that the CPU's progress
+  // cannot proceed", §4.2.1) — stealing it pays off later through fewer
+  // faults and cache misses, the paper's supportive metrics.
+  m_.idle.busy_wait += wait;
+  p.metrics().busy_wait += wait;
+  m_.stolen_time += utilized;
+  p.metrics().stolen += utilized;
+  wait_in_place(p, wait);
+  return utilized;
+}
+
+void Simulator::block_until(Process& p, its::SimTime done, EventType wake,
+                            std::uint64_t key) {
+  push_event(done, wake, p.pid(), key);
+  sched_->block(&p);
+  charge_ctx_switch(p.pid());
+  switch_prepaid_ = true;
 }
 
 its::Duration Simulator::sync_deadline() const {
@@ -366,24 +397,18 @@ bool Simulator::do_file_op(Process& p, const trace::Instr& in) {
     if (look.hit) {
       if (look.ready_at > clock_) {
         // Readahead still in flight: pay the remaining transfer time.
-        its::Duration wait = look.ready_at - clock_;
-        m_.idle.busy_wait += wait;
-        p.metrics().busy_wait += wait;
-        wait_in_place(p, wait);
+        const its::Duration wait = look.ready_at - clock_;
+        steal_wait(p, FaultPlan{}, wait, [] { return its::Duration{0}; });
         if (trace_)
           trace_->record(EventKind::kFileWait, clock_, p.pid(), key, wait, 0);
       }
-      if (!read) {
-        if (auto wb = pcache_.insert(key, clock_, /*dirty=*/true))
-          dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
-      }
+      if (!read) cache_page(key, clock_, /*dirty=*/true);
       continue;
     }
     if (!read) {
       // Write miss: allocate the cache page and dirty it; the data reaches
       // the device on eviction (writeback) — no foreground I/O.
-      if (auto wb = pcache_.insert(key, clock_, /*dirty=*/true))
-        dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
+      cache_page(key, clock_, /*dirty=*/true);
       continue;
     }
     if (!file_miss(p, key, file, page)) return false;  // blocked
@@ -407,74 +432,57 @@ bool Simulator::do_file_op(Process& p, const trace::Instr& in) {
 bool Simulator::file_miss(Process& p, std::uint64_t key, fs::FileId file,
                           std::uint64_t page_index) {
   poll_health();
-  its::SimTime done = post_read_resilient(clock_, its::kPageSize, key);
-  FaultPlan plan = policy_->plan_major_fault(p, *sched_, health_.state());
+  const its::SimTime done = post_read_resilient(clock_, its::kPageSize, key);
+  const FaultPlan plan = policy_->plan_major_fault(p, *sched_, health_.state());
 
   if (plan.go_async) {
     // Block until the page lands; the syscall restarts on wake (the landed
     // page then hits in the cache).  Same one-switch cost model as swap.
-    if (auto wb = pcache_.insert(key, done))
-      dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
+    cache_page(key, done);
+    if (trace_) trace_->record(EventKind::kAsyncConvert, clock_, p.pid(), key);
+    ++m_.async_switches;
     // The event carries the cache key so the wake-up can re-pin the page
     // as most-recently-used right before the syscall restarts (otherwise a
     // thrashing cache could evict it every round).
-    push_event(done, EventType::kWakeFile, p.pid(), key);
-    if (trace_) trace_->record(EventKind::kAsyncConvert, clock_, p.pid(), key);
-    sched_->block(&p);
-    charge_ctx_switch(p.pid());
-    switch_prepaid_ = true;
-    ++m_.async_switches;
+    block_until(p, done, EventType::kWakeFile, key);
     return false;
   }
 
-  // Synchronous wait, with the same stealing opportunities as a swap fault.
-  its::Duration wait = done - clock_;
-  its::Duration utilized = 0;
-  if (plan.prefetch != PrefetchKind::kNone) {
-    // File readahead: the next sequential pages of the same file.
-    utilized += cfg_.kernel_thread_entry;
-    const std::uint64_t file_pages =
-        (files_.size_of(file) + its::kPageSize - 1) >> its::kPageShift;
-    for (unsigned k = 1; k <= cfg_.file_readahead_pages; ++k) {
-      std::uint64_t next = page_index + k;
-      if (next >= file_pages) break;
-      std::uint64_t nkey = fs::FileSystem::page_key(file, next);
-      if (pcache_.contains(nkey)) continue;
-      its::SimTime t = dma_.post(clock_, storage::Dir::kRead, its::kPageSize);
-      if (auto wb = pcache_.insert(nkey, t))
-        dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
-      ++m_.prefetch_issued;
-      if (trace_)
-        trace_->record(EventKind::kPrefetchIssue, clock_, p.pid(), nkey,
-                       static_cast<std::uint64_t>(
-                           obs::PrefetchSource::kFileReadahead));
-    }
-  }
-  if (plan.preexec && utilized < wait) {
-    auto ep = engine_.run(p.trace(), p.pc(), p.rf(), p.mm(), wait - utilized);
-    if (ep.ran) {
-      utilized += ep.used;
-      ++m_.preexec_episodes;
-      m_.preexec_lines_warmed += ep.lines_warmed;
-      if (trace_) {
-        trace_->record(EventKind::kPreexecBegin, clock_, p.pid(), p.pc());
-        trace_->record(EventKind::kPreexecEnd, clock_, p.pid(), p.pc(), ep.used);
-      }
-    }
-  }
-  utilized = std::min(utilized, wait);
-  m_.idle.busy_wait += wait;
-  p.metrics().busy_wait += wait;
-  m_.stolen_time += utilized;
-  p.metrics().stolen += utilized;
-
-  wait_in_place(p, wait);
+  // Synchronous wait, with the same stealing opportunities as a swap fault;
+  // the plan's prefetch is file readahead.
+  const its::Duration wait = done - clock_;
+  const its::Duration stolen = steal_wait(p, plan, wait, [&] {
+    issue_readahead(p, file, page_index);
+    return its::Duration{0};
+  });
   if (trace_)
-    trace_->record(EventKind::kFileWait, clock_, p.pid(), key, wait, utilized);
+    trace_->record(EventKind::kFileWait, clock_, p.pid(), key, wait, stolen);
   process_due_events();
-  if (auto wb = pcache_.insert(key, clock_))
-    dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
+  cache_page(key, clock_);
   return true;
+}
+
+void Simulator::issue_readahead(Process& p, fs::FileId file,
+                                std::uint64_t page_index) {
+  const std::uint64_t file_pages =
+      (files_.size_of(file) + its::kPageSize - 1) >> its::kPageShift;
+  for (unsigned k = 1; k <= cfg_.file_readahead_pages; ++k) {
+    const std::uint64_t next = page_index + k;
+    if (next >= file_pages) break;
+    const std::uint64_t nkey = fs::FileSystem::page_key(file, next);
+    if (pcache_.contains(nkey)) continue;
+    cache_page(nkey, dma_.post(clock_, storage::Dir::kRead, its::kPageSize));
+    ++m_.prefetch_issued;
+    if (trace_)
+      trace_->record(EventKind::kPrefetchIssue, clock_, p.pid(), nkey,
+                     static_cast<std::uint64_t>(
+                         obs::PrefetchSource::kFileReadahead));
+  }
+}
+
+void Simulator::cache_page(std::uint64_t key, its::SimTime ready_at, bool dirty) {
+  if (pcache_.insert(key, ready_at, dirty))
+    dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
 }
 
 bool Simulator::handle_major_fault(Process& p, its::Vpn vpn) {
@@ -495,17 +503,15 @@ bool Simulator::handle_major_fault(Process& p, its::Vpn vpn) {
   its::SimTime done;
   if (pte->in_flight()) {
     // A prefetch already has the page in transit — wait out the remainder.
-    done = arrival_.at(key_of(p.pid(), vpn));
+    done = transfer_done(pte->pfn());
   } else if (pool_.load(p.pid(), vpn)) {
     // Compressed-DRAM hit: the page's only fresh copy sits in the fallback
     // pool — decompress it on the faulting CPU, no device I/O at all.
-    its::Pfn pfn = alloc_frame(p.pid(), vpn);
+    const its::Pfn pfn = alloc_frame(p.pid(), vpn);
     vm::Pte* fresh = p.mm().pte(vpn);
     fresh->set_pfn(pfn);
     advance(p, pool_.decompress_cost());
-    fresh->map(pfn);
-    fresh->set_inv(false);
-    p.mm().note_mapped();
+    map_resident(p, fresh);
     if (trace_) trace_->record(EventKind::kFaultEnd, clock_, p.pid(), vpn);
     return true;
   } else if (device_dead() && swap_.has_slot(p.pid(), vpn)) {
@@ -520,19 +526,19 @@ bool Simulator::handle_major_fault(Process& p, its::Vpn vpn) {
     // readahead; cluster size 1 = just the victim).
     const unsigned cluster = std::max(cfg_.swap_cluster_pages, 1u);
     const its::Vpn base = vpn - (vpn % cluster);
-    std::vector<its::Vpn> batch{vpn};
+    cluster_.assign(1, vpn);
     for (its::Vpn v = base; v < base + cluster; ++v) {
       if (v == vpn) continue;
       const vm::Pte* sib = p.mm().pte(v);
-      if (sib != nullptr && vm::Pte{sib->raw}.swapped_out()) batch.push_back(v);
+      if (sib != nullptr && sib->swapped_out()) cluster_.push_back(v);
     }
-    for (its::Vpn v : batch) begin_swap_in(p, v);
+    for (its::Vpn v : cluster_) begin_swap_in(p, v);
     // One DMA covers the whole cluster; siblings become swap-cache pages
     // on arrival, exactly like prefetched pages — and count as issued
     // readahead so prefetch accuracy stays a true ratio.
-    done = post_read_resilient(clock_, its::kPageSize * batch.size(), vpn);
-    for (its::Vpn v : batch) {
-      arrival_[key_of(p.pid(), v)] = done;
+    done = post_read_resilient(clock_, its::kPageSize * cluster_.size(), vpn);
+    for (its::Vpn v : cluster_) {
+      transfer_done_[p.mm().pte(v)->pfn()] = done;
       if (v != vpn) {
         push_event(done, EventType::kPageArrive, p.pid(), v);
         ++m_.prefetch_issued;
@@ -562,12 +568,9 @@ bool Simulator::handle_major_fault(Process& p, its::Vpn vpn) {
     // one context switch (save the faulter, restore the next runnable — the
     // paper's measured 7 µs); the dispatch that follows is that same switch,
     // so it is marked prepaid.
-    push_event(done, EventType::kWakeFault, p.pid(), vpn);
     if (trace_) trace_->record(EventKind::kAsyncConvert, clock_, p.pid(), vpn);
-    sched_->block(&p);
-    charge_ctx_switch(p.pid());
-    switch_prepaid_ = true;
     ++m_.async_switches;
+    block_until(p, done, EventType::kWakeFault, vpn);
     return false;
   }
 
@@ -594,36 +597,13 @@ bool Simulator::handle_major_fault(Process& p, its::Vpn vpn) {
     const its::Duration period = std::max<its::Duration>(cfg_.preexec.poll_period, 1);
     wait = its::round_up(wait, period);
   }
-  its::Duration utilized = 0;
-  if (plan.prefetch != PrefetchKind::kNone)
-    issue_prefetches(p, vpn, plan.prefetch, utilized);
-  if (plan.preexec && utilized < wait) {
-    auto ep = engine_.run(p.trace(), p.pc(), p.rf(), p.mm(), wait - utilized);
-    if (ep.ran) {
-      utilized += ep.used;
-      ++m_.preexec_episodes;
-      m_.preexec_lines_warmed += ep.lines_warmed;
-      if (trace_) {
-        trace_->record(EventKind::kPreexecBegin, clock_, p.pid(), p.pc());
-        trace_->record(EventKind::kPreexecEnd, clock_, p.pid(), p.pc(), ep.used);
-      }
-    }
-  }
-  utilized = std::min(utilized, wait);
-
-  // The whole wait is CPU idle time ("the time that the CPU's progress
-  // cannot proceed", §4.2.1) — stealing it pays off later through fewer
-  // faults and cache misses, the paper's supportive metrics.
-  m_.idle.busy_wait += wait;
-  p.metrics().busy_wait += wait;
-  m_.stolen_time += utilized;
-  p.metrics().stolen += utilized;
-
-  wait_in_place(p, wait);  // clock == done for interrupt trigger; later for polling
+  // clock == done after the wait for the interrupt trigger; later for polling.
+  const its::Duration stolen = steal_wait(
+      p, plan, wait, [&] { return issue_prefetches(p, vpn, plan.prefetch); });
   process_due_events();  // prefetched siblings may have arrived meanwhile
   complete_swap_in(p, vpn);
   if (trace_)
-    trace_->record(EventKind::kFaultEnd, clock_, p.pid(), vpn, wait, utilized);
+    trace_->record(EventKind::kFaultEnd, clock_, p.pid(), vpn, wait, stolen);
   return true;
 }
 
@@ -633,32 +613,11 @@ bool Simulator::abort_sync_wait(Process& p, its::Vpn vpn, its::SimTime done,
   // plan can steal still happens inside the window — including a bounded
   // pre-execute episode whose architectural state is discarded on abort
   // (engine_.run works on scratch copies; the PTE/frame state set up by
-  // begin_swap_in stays in flight and is recovered by the wake-up).
-  its::Duration utilized = 0;
-  if (plan.prefetch != PrefetchKind::kNone)
-    issue_prefetches(p, vpn, plan.prefetch, utilized);
-  if (plan.preexec && utilized < window) {
-    auto ep = engine_.run(p.trace(), p.pc(), p.rf(), p.mm(), window - utilized);
-    if (ep.ran) {
-      utilized += ep.used;
-      ++m_.preexec_episodes;
-      m_.preexec_lines_warmed += ep.lines_warmed;
-      if (trace_) {
-        trace_->record(EventKind::kPreexecBegin, clock_, p.pid(), p.pc());
-        trace_->record(EventKind::kPreexecEnd, clock_, p.pid(), p.pc(), ep.used);
-      }
-    }
-  }
-  utilized = std::min(utilized, window);
-
-  // Only the window was busy-waited; the rest of the transfer completes in
-  // the background while somebody else runs (degraded-mode time).
-  m_.idle.busy_wait += window;
-  p.metrics().busy_wait += window;
-  m_.stolen_time += utilized;
-  p.metrics().stolen += utilized;
-
-  wait_in_place(p, window);
+  // begin_swap_in stays in flight and is recovered by the wake-up).  Only
+  // the window is busy-waited; the rest of the transfer completes in the
+  // background while somebody else runs (degraded-mode time).
+  const its::Duration stolen = steal_wait(
+      p, plan, window, [&] { return issue_prefetches(p, vpn, plan.prefetch); });
   process_due_events();
 
   const its::Duration remaining = done - clock_;
@@ -667,25 +626,19 @@ bool Simulator::abort_sync_wait(Process& p, its::Vpn vpn, its::SimTime done,
   m_.degraded_time += remaining;
   if (trace_) {
     trace_->record(EventKind::kDeadlineAbort, clock_, p.pid(), vpn, window,
-                   utilized);
+                   stolen);
     trace_->record(EventKind::kModeFallback, clock_, p.pid(), vpn, remaining);
   }
 
   // From here the fault is an asynchronous one: wake at `done`, one context
   // switch to hand the CPU over (counted in mode_fallbacks, not
   // async_switches — the policy never chose to go async).
-  push_event(done, EventType::kWakeFault, p.pid(), vpn);
-  sched_->block(&p);
-  charge_ctx_switch(p.pid());
-  switch_prepaid_ = true;
+  block_until(p, done, EventType::kWakeFault, vpn);
   return false;
 }
 
-void Simulator::issue_prefetches(Process& p, its::Vpn victim, PrefetchKind kind,
-                                 its::Duration& utilized) {
-  // §3.2: transitioning from the page fault handler into the ITS kernel
-  // thread costs hundreds of nanoseconds — charged against the wait.
-  utilized += cfg_.kernel_thread_entry;
+its::Duration Simulator::issue_prefetches(Process& p, its::Vpn victim,
+                                          PrefetchKind kind) {
   vm::PrefetchResult pr;
   switch (kind) {
     case PrefetchKind::kVa:
@@ -698,19 +651,19 @@ void Simulator::issue_prefetches(Process& p, its::Vpn victim, PrefetchKind kind,
       pr = stride_pf_.collect(p.mm(), victim);
       break;
     case PrefetchKind::kNone:
-      return;
+      return 0;
   }
-  utilized += pr.walk_cost;
   for (its::Vpn cand : pr.pages) {
     begin_swap_in(p, cand);
-    its::SimTime t = post_read_resilient(clock_, its::kPageSize, cand);
-    arrival_[key_of(p.pid(), cand)] = t;
+    const its::SimTime t = post_read_resilient(clock_, its::kPageSize, cand);
+    transfer_done_[p.mm().pte(cand)->pfn()] = t;
     push_event(t, EventType::kPageArrive, p.pid(), cand);
     ++m_.prefetch_issued;
     if (trace_)
       trace_->record(EventKind::kPrefetchIssue, clock_, p.pid(), cand,
                      static_cast<std::uint64_t>(obs::PrefetchSource::kPolicy));
   }
+  return pr.walk_cost;
 }
 
 void Simulator::begin_swap_in(Process& p, its::Vpn vpn) {
@@ -725,16 +678,28 @@ void Simulator::begin_swap_in(Process& p, its::Vpn vpn) {
 void Simulator::complete_swap_in(Process& p, its::Vpn vpn) {
   vm::Pte* pte = p.mm().pte(vpn);
   if (pte->in_flight()) {
-    frames_.unpin(pte->pfn());
-    swap_.record_swap_in(p.pid(), vpn);
-    arrival_.erase(key_of(p.pid(), vpn));
+    transfer_landed(p, vpn, pte->pfn());
     health_.note_ok(clock_);  // a demand transfer landed: the device serves
   }
-  if (!pte->present()) {
-    pte->map(pte->pfn());
-    pte->set_inv(false);
-    p.mm().note_mapped();
-  }
+  if (!pte->present()) map_resident(p, pte);
+}
+
+void Simulator::transfer_landed(Process& p, its::Vpn vpn, its::Pfn pfn) {
+  frames_.unpin(pfn);
+  swap_.record_swap_in(p.pid(), vpn);
+}
+
+void Simulator::map_resident(Process& p, vm::Pte* pte) {
+  pte->map(pte->pfn());
+  pte->set_inv(false);  // fresh-from-device data is valid
+  p.mm().note_mapped();
+}
+
+its::SimTime Simulator::transfer_done(its::Pfn pfn) const {
+  if (!frames_.info(pfn).pinned)
+    throw std::logic_error("Simulator: no transfer in flight into frame " +
+                           std::to_string(pfn));
+  return transfer_done_[pfn];
 }
 
 its::Pfn Simulator::alloc_frame(its::Pid pid, its::Vpn vpn) {
@@ -856,8 +821,7 @@ void Simulator::process_due_events() {
         break;
       case EventType::kWakeFile:
         // Refresh the awaited page to MRU so the restarted syscall hits.
-        if (auto wb = pcache_.insert(e.vpn, e.time))
-          dma_.post(clock_, storage::Dir::kWrite, its::kPageSize);
+        cache_page(e.vpn, e.time);
         sched_->wake(&p);
         break;
       case EventType::kPageArrive: {
@@ -865,9 +829,7 @@ void Simulator::process_due_events() {
         if (pte != nullptr && pte->in_flight()) {
           pte->set_in_flight(false);
           pte->set_swap_cache(true);
-          frames_.unpin(pte->pfn());
-          swap_.record_swap_in(p.pid(), e.vpn);
-          arrival_.erase(key_of(p.pid(), e.vpn));
+          transfer_landed(p, e.vpn, pte->pfn());
         }
         break;
       }

@@ -31,6 +31,7 @@
 #include "vm/fallback_pool.h"
 #include "vm/frame_pool.h"
 #include "vm/prefetch.h"
+#include "vm/pte.h"
 #include "vm/swap.h"
 
 #include <cstdint>
@@ -39,7 +40,6 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace its::core {
@@ -133,7 +133,7 @@ class Simulator {
     }
   };
 
-  /// Composite (pid, vpn) key for the TLB and the arrival map.
+  /// Composite (pid, vpn) key for the TLB.
   static std::uint64_t key_of(its::Pid pid, its::Vpn vpn) {
     return its::pid_key(pid, vpn);
   }
@@ -156,6 +156,26 @@ class Simulator {
   /// process blocked).
   bool abort_sync_wait(sched::Process& p, its::Vpn vpn, its::SimTime done,
                        const FaultPlan& plan, its::Duration window);
+  /// Busy-waits `wait` ns in place for a transfer, stealing what `plan`
+  /// allows: first the plan's prefetch, entered through the ITS kernel
+  /// thread (`prefetch()` issues it and returns its walk cost), then a
+  /// pre-execute episode in what is left.  The whole wait is busy-wait idle
+  /// time; the part filled, capped at `wait`, is also stolen time, and is
+  /// returned.
+  template <typename Prefetch>
+  its::Duration steal_wait(sched::Process& p, const FaultPlan& plan,
+                           its::Duration wait, Prefetch prefetch);
+  /// Runs one pre-execute episode of at most `budget` ns from `p`'s pc and
+  /// books it (episode counters, begin/end trace).  The episode itself
+  /// steals at most `steal_cap` ns of what it used: runahead's cap is the
+  /// DRAM shadow it runs in, while a fault's episode steals through the
+  /// wait it fills (cap 0).  Returns the ns used, 0 if it could not start.
+  its::Duration run_preexec(sched::Process& p, its::Duration budget,
+                            its::Duration steal_cap = 0);
+  /// Takes `p` off the CPU until `done`, when a `wake` event for `key`
+  /// arrives: one context switch, prepaid for the dispatch that follows.
+  void block_until(sched::Process& p, its::SimTime done, EventType wake,
+                   std::uint64_t key);
   /// Effective watchdog deadline for a sync busy-wait; 0 = watchdog off.
   its::Duration sync_deadline() const;
   /// Posts a demand read through the fault-aware DMA path, retrying failed
@@ -169,12 +189,27 @@ class Simulator {
   /// Serves one page-cache miss within a file op; false if blocked.
   bool file_miss(sched::Process& p, std::uint64_t key, fs::FileId file,
                  std::uint64_t page_index);
-  void issue_prefetches(sched::Process& p, its::Vpn victim, PrefetchKind kind,
-                        its::Duration& utilized);
+  /// Issues the policy prefetch of `kind` around `victim`; returns the
+  /// prefetcher's walk cost.
+  its::Duration issue_prefetches(sched::Process& p, its::Vpn victim,
+                                 PrefetchKind kind);
+  /// File readahead: the next sequential pages of `file` after `page_index`.
+  void issue_readahead(sched::Process& p, fs::FileId file,
+                       std::uint64_t page_index);
+  /// Inserts a page-cache page; a dirty page it evicts is written back.
+  void cache_page(std::uint64_t key, its::SimTime ready_at, bool dirty = false);
   /// Allocates and pins a frame and marks the PTE in-flight (the DMA post
-  /// and arrival bookkeeping stay with the caller).
+  /// and transfer_done_ stay with the caller).
   void begin_swap_in(sched::Process& p, its::Vpn vpn);
   void complete_swap_in(sched::Process& p, its::Vpn vpn);
+  /// A transfer into `pfn` for `vpn` landed: the frame unpins and the swap
+  /// area records the swap-in.
+  void transfer_landed(sched::Process& p, its::Vpn vpn, its::Pfn pfn);
+  /// Maps `pte` to the frame it holds and counts the page resident.
+  void map_resident(sched::Process& p, vm::Pte* pte);
+  /// Completion time of the transfer in flight into `pfn`; throws
+  /// std::logic_error if the frame is not pinned (no transfer in flight).
+  its::SimTime transfer_done(its::Pfn pfn) const;
 
   its::Pfn alloc_frame(its::Pid pid, its::Vpn vpn);
   void evict_frame(its::Pfn pfn);
@@ -226,7 +261,10 @@ class Simulator {
   std::function<bool(sched::Process&)> gate_;
   std::function<void(sched::Process&)> retire_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
-  std::unordered_map<std::uint64_t, its::SimTime> arrival_;  ///< (pid,vpn) → DMA done.
+  /// Per pfn: when the transfer in flight into that frame completes.  An
+  /// in-flight page always holds a pinned frame, so the frame names it.
+  std::vector<its::SimTime> transfer_done_;
+  std::vector<its::Vpn> cluster_;  ///< The swap cluster of the current fault.
 
   its::SimTime clock_ = 0;
   std::uint64_t seq_ = 0;
