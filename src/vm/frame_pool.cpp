@@ -17,6 +17,7 @@ FramePool::FramePool(its::Bytes dram_bytes) {
 }
 
 void FramePool::index_insert(its::Pfn pfn, its::Pid owner) {
+  if (owner >= owned_.size()) owned_.resize(std::size_t{owner} + 1);
   std::vector<its::Pfn>& v = owned_[owner];
   pos_[pfn] = v.size();
   v.push_back(pfn);
@@ -34,8 +35,7 @@ void FramePool::index_remove(its::Pfn pfn, its::Pid owner) {
 
 const std::vector<its::Pfn>& FramePool::frames_of(its::Pid owner) const {
   static const std::vector<its::Pfn> kNone;
-  auto it = owned_.find(owner);
-  return it == owned_.end() ? kNone : it->second;
+  return owner < owned_.size() ? owned_[owner] : kNone;
 }
 
 FrameInfo& FramePool::at(its::Pfn pfn) {
@@ -87,17 +87,6 @@ void FramePool::release(its::Pfn pfn) {
   f = FrameInfo{};
   free_.push_back(pfn);
   ++stats_.releases;
-}
-
-void FramePool::assign(its::Pfn pfn, its::Pid owner, its::Vpn vpn) {
-  FrameInfo& f = at(pfn);
-  if (!f.in_use) throw std::logic_error("FramePool: assigning free frame");
-  index_remove(pfn, f.owner);
-  f.owner = owner;
-  f.vpn = vpn;
-  f.referenced = false;
-  f.pinned = false;
-  index_insert(pfn, owner);
 }
 
 std::uint64_t FramePool::carve_tail(std::uint64_t count) {

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 namespace its::vm {
@@ -49,9 +48,6 @@ class FramePool {
   /// Returns a frame to the free list.
   void release(its::Pfn pfn);
 
-  /// Re-assigns an in-use frame to a new owner (after eviction).
-  void assign(its::Pfn pfn, its::Pid owner, its::Vpn vpn);
-
   void pin(its::Pfn pfn);
   void unpin(its::Pfn pfn);
   void mark_referenced(its::Pfn pfn);
@@ -63,7 +59,7 @@ class FramePool {
   /// allocation; returns the number actually carved.
   std::uint64_t carve_tail(std::uint64_t count);
 
-  /// Frames currently allocated to `owner` (through try_alloc/assign), in
+  /// Frames currently allocated to `owner` (through try_alloc), in
   /// unspecified order — sort a copy before any order-sensitive walk.
   /// Maintained O(1) per allocation/release so a process exit reclaims its
   /// DRAM in time proportional to what it owns, not to the whole pool
@@ -87,8 +83,9 @@ class FramePool {
   std::vector<its::Pfn> free_;
   std::uint64_t hand_ = 0;
   FramePoolStats stats_;
-  /// Owner → owned pfns, with per-frame positions for O(1) swap-removal.
-  std::unordered_map<its::Pid, std::vector<its::Pfn>> owned_;
+  /// Owner pid → owned pfns (grown on an owner's first frame), with
+  /// per-frame positions for O(1) swap-removal.
+  std::vector<std::vector<its::Pfn>> owned_;
   std::vector<std::size_t> pos_;
 };
 
