@@ -4,6 +4,8 @@
 // of that lattice are the paper's baselines exactly:
 //   * every component off            == Sync
 //   * page prefetch only, POP kind   == Sync_Prefetch
+// and with every process at one priority, ITS never gives way, so it is
+// ITS without the self-sacrificing thread.
 // "==" is byte identity of both CSV exports over all four paper batches,
 // with faults off and under the hostile profile (errors, tails, outages),
 // where the degraded-device routing must agree too.  Async, the other end
@@ -23,6 +25,7 @@
 #include "core/report.h"
 #include "core/simulator.h"
 #include "fault/fault_injector.h"
+#include "sched/process.h"
 
 namespace its::core {
 namespace {
@@ -37,20 +40,28 @@ class PolicyLattice
     traces_ = batch_traces(*batch_, cfg_.gen);
   }
 
-  SimMetrics run(std::unique_ptr<IoPolicy> policy) const {
+  /// The batch under `policy`; with `equal_priority` every process gets
+  /// the same priority instead of the seeded shuffle.
+  SimMetrics run(std::unique_ptr<IoPolicy> policy,
+                 bool equal_priority = false) const {
     SimConfig sc = cfg_.sim;
     sc.dram_bytes =
         dram_bytes_for(*batch_, cfg_.dram_headroom, cfg_.gen.footprint_scale);
     Simulator sim(sc, std::move(policy));
-    for (auto& p : build_processes(*batch_, traces_, sc.seed))
-      sim.add_process(std::move(p));
+    auto procs = build_processes(*batch_, traces_, sc.seed);
+    for (std::size_t i = 0; i < procs.size(); ++i) {
+      if (equal_priority)
+        procs[i] = std::make_unique<sched::Process>(
+            procs[i]->pid(), procs[i]->name(), 30, traces_[i]);
+      sim.add_process(std::move(procs[i]));
+    }
     return sim.run();
   }
 
-  /// Both CSV exports of a run under `policy`, its rows filed under `as`
-  /// so that two policies' rows compare byte for byte.
-  std::string csv(std::unique_ptr<IoPolicy> policy, PolicyKind as) const {
-    BatchResult r{batch_, {{as, run(std::move(policy))}}};
+  /// Both CSV exports of a run, its rows filed under `as` so that two
+  /// policies' rows compare byte for byte.
+  std::string csv(SimMetrics m, PolicyKind as) const {
+    BatchResult r{batch_, {{as, std::move(m)}}};
     std::ostringstream os;
     write_metrics_csv(os, {&r, 1});
     write_processes_csv(os, {&r, 1});
@@ -63,21 +74,35 @@ class PolicyLattice
 };
 
 TEST_P(PolicyLattice, ItsWithEveryComponentOffIsSync) {
-  EXPECT_EQ(csv(make_its_policy({.self_sacrificing = false,
-                                 .page_prefetch = false,
-                                 .pre_execute = false}),
+  EXPECT_EQ(csv(run(make_its_policy({.self_sacrificing = false,
+                                     .page_prefetch = false,
+                                     .pre_execute = false})),
                 PolicyKind::kSync),
-            csv(make_policy(PolicyKind::kSync), PolicyKind::kSync));
+            csv(run(make_policy(PolicyKind::kSync)), PolicyKind::kSync));
 }
 
 TEST_P(PolicyLattice, ItsWithPopPrefetchOnlyIsSyncPrefetch) {
-  EXPECT_EQ(csv(make_its_policy({.self_sacrificing = false,
-                                 .page_prefetch = true,
-                                 .pre_execute = false,
-                                 .prefetcher = PrefetchKind::kPop}),
+  EXPECT_EQ(csv(run(make_its_policy({.self_sacrificing = false,
+                                     .page_prefetch = true,
+                                     .pre_execute = false,
+                                     .prefetcher = PrefetchKind::kPop})),
                 PolicyKind::kSyncPrefetch),
-            csv(make_policy(PolicyKind::kSyncPrefetch),
+            csv(run(make_policy(PolicyKind::kSyncPrefetch)),
                 PolicyKind::kSyncPrefetch));
+}
+
+TEST_P(PolicyLattice, ItsWithEqualPrioritiesNeverSacrifices) {
+  const SimMetrics its = run(make_policy(PolicyKind::kIts),
+                             /*equal_priority=*/true);
+  // Without faults nothing else turns a fault asynchronous; under hostile
+  // an offline device still does, on both sides alike.
+  if (!cfg_.sim.fault.enabled) {
+    EXPECT_EQ(its.async_switches, 0u);
+  }
+  EXPECT_EQ(csv(its, PolicyKind::kIts),
+            csv(run(make_its_policy({.self_sacrificing = false}),
+                    /*equal_priority=*/true),
+                PolicyKind::kIts));
 }
 
 TEST_P(PolicyLattice, AsyncNeverBusyWaits) {
