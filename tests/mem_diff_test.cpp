@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <list>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -546,6 +547,10 @@ struct Geometry {
   const char* name;
   CacheConfig cfg;
 };
+
+// gtest appends the printed parameter to each case's listed name; printed
+// byte by byte, `name`'s address would make that name differ on every run.
+void PrintTo(const Geometry& g, std::ostream* os) { *os << g.name; }
 
 class StampModelDiff : public ::testing::TestWithParam<Geometry> {};
 
