@@ -144,6 +144,28 @@ void BM_PreexecCacheStoreLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_PreexecCacheStoreLoad);
 
+// Probes of the default 4 MiB pre-execute cache with every way full, seven
+// in eight of them for lines that are not resident: the miss path, which
+// on the pre-execute engine's loads is the common outcome.
+void BM_PreexecCacheLookupMiss(benchmark::State& state) {
+  mem::PreexecCache px;
+  const std::uint64_t lines = 4_MiB / kCacheLineSize;
+  for (std::uint64_t l = 0; l < lines; ++l) px.store(l * kCacheLineSize, 8, false);
+  util::Rng rng(6);
+  std::vector<its::VirtAddr> probes(1 << 16);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const std::uint64_t line = rng.below(lines) + (i % 8 == 0 ? 0 : lines);
+    probes[i] = line * kCacheLineSize + (rng.below(8) << 3);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(px.lookup(probes[i], 8));
+    i = (i + 1) & (probes.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PreexecCacheLookupMiss);
+
 // One pre-execute episode per iteration over a fixed PageRank trace with
 // half its pages swapped out; items are records examined, so the reported
 // rate is per record.

@@ -19,17 +19,12 @@ namespace its::cpu {
 
 class RegisterFile {
  public:
-  /// Register 0 is the hard-wired zero register: always valid.
-  bool is_invalid(std::uint8_t reg) const {
-    return reg != 0 && (inv_ & (1ull << reg)) != 0;
-  }
+  /// Register 0 is the hard-wired zero register: always valid, because
+  /// bit 0 of the mask is never set.
+  bool is_invalid(std::uint8_t reg) const { return ((inv_ >> reg) & 1) != 0; }
 
   void set_invalid(std::uint8_t reg, bool inv) {
-    if (reg == 0) return;
-    if (inv)
-      inv_ |= 1ull << reg;
-    else
-      inv_ &= ~(1ull << reg);
+    inv_ = ((inv_ & ~(1ull << reg)) | (std::uint64_t{inv} << reg)) & ~1ull;
   }
 
   /// Cascades invalidity: dst becomes INV iff any source is INV.

@@ -41,20 +41,7 @@ std::optional<SbEntry> StoreBuffer::push(const SbEntry& e) {
   return retired;
 }
 
-SbHit StoreBuffer::lookup(its::VirtAddr addr, std::uint16_t size) const {
-  if (count_ == 0) return {};
-  // The filter can rule a lookup out only when every live entry is indexed
-  // and the probed range is a short, non-wrapping run of lines.
-  if (unfiltered_ == 0 && size != 0) {
-    const std::uint64_t first = addr >> kCacheLineShift;
-    const std::uint64_t last = (addr + size - 1) >> kCacheLineShift;
-    if (last - first < kFilterLines) {
-      bool maybe = false;
-      for (std::uint64_t l = first; l <= last; ++l)
-        if (lines_[bucket(l)] != 0) maybe = true;
-      if (!maybe) return {};
-    }
-  }
+SbHit StoreBuffer::scan(its::VirtAddr addr, std::uint16_t size) const {
   // Scan youngest → oldest so the most recent overlapping store forwards.
   for (std::size_t i = count_; i > 0; --i) {
     const SbEntry& e = ring_[slot(i - 1)];

@@ -15,7 +15,8 @@
 // either counts each line it touches, or — when it has size 0 or spans more
 // than kFilterLines lines — is counted as unfiltered, and any unfiltered
 // entry forces the full youngest-first scan.  Two lines sharing a bucket
-// only cost a scan that finds nothing.
+// only cost a scan that finds nothing.  lookup() answers "the filter says
+// no" inline; only the scan is out of line.
 #pragma once
 
 #include "mem/preexec_cache.h"
@@ -50,7 +51,22 @@ class StoreBuffer {
   std::optional<SbEntry> push(const SbEntry& e);
 
   /// Youngest-entry-wins forwarding lookup over [addr, addr+size).
-  SbHit lookup(its::VirtAddr addr, std::uint16_t size) const;
+  SbHit lookup(its::VirtAddr addr, std::uint16_t size) const {
+    if (count_ == 0) return {};
+    // The filter can rule a lookup out only when every live entry is
+    // indexed and the probed range is a short, non-wrapping run of lines.
+    if (unfiltered_ == 0 && size != 0) {
+      const std::uint64_t first = addr >> kCacheLineShift;
+      const std::uint64_t last = (addr + size - 1) >> kCacheLineShift;
+      if (last - first < kFilterLines) {
+        bool maybe = false;
+        for (std::uint64_t l = first; l <= last; ++l)
+          if (lines_[bucket(l)] != 0) maybe = true;
+        if (!maybe) return {};
+      }
+    }
+    return scan(addr, size);
+  }
 
   /// Retires every entry into `px`, oldest first (episode end); the buffer
   /// becomes empty.
@@ -63,18 +79,20 @@ class StoreBuffer {
 
   /// Entries spanning more lines than this bypass the filter.
   static constexpr std::uint64_t kFilterLines = 4;
+  /// Filter buckets; lines this many apart share one.
+  static constexpr std::size_t kFilterBuckets = 4096;
 
  private:
-  static constexpr std::size_t kBuckets = 512;
-
   static bool overlaps(const SbEntry& e, its::VirtAddr addr,
                        std::uint16_t size) {
     return e.addr < addr + size && addr < e.addr + e.size;
   }
   static std::size_t bucket(std::uint64_t line) {
-    return static_cast<std::size_t>(line % kBuckets);
+    return static_cast<std::size_t>(line % kFilterBuckets);
   }
 
+  /// The youngest-first scan behind lookup().
+  SbHit scan(its::VirtAddr addr, std::uint16_t size) const;
   /// Adds `e` to (or, with `add` false, removes it from) the line filter.
   void index(const SbEntry& e, bool add);
   /// Ring slot of the i-th oldest entry.
@@ -87,7 +105,7 @@ class StoreBuffer {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   std::size_t unfiltered_ = 0;  ///< Live entries the filter does not index.
-  std::array<std::uint32_t, kBuckets> lines_{};
+  std::array<std::uint32_t, kFilterBuckets> lines_{};
 };
 
 }  // namespace its::cpu

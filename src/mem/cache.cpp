@@ -10,15 +10,6 @@
 namespace its::mem {
 namespace {
 
-/// The lanes of a set holding `tag`, as a bitmask.
-std::uint32_t match_lanes(const std::uint32_t* set, unsigned lanes, std::uint32_t tag) {
-#if defined(__SSE2__)
-  return match_lanes_sse2(set, lanes, tag);
-#else
-  return match_lanes_scalar(set, lanes, tag);
-#endif
-}
-
 // A set's LRU order is one 64-bit word: nibble r holds the way of rank r,
 // rank 0 the most recently used.  Ranks at and past the set's way count are
 // unused.
@@ -113,12 +104,6 @@ bool SetAssocCache::access(its::VirtAddr addr) {
 }
 
 void SetAssocCache::fill(its::VirtAddr addr) { touch_or_insert(line_of(addr)); }
-
-bool SetAssocCache::probe(its::VirtAddr addr) const {
-  const std::uint64_t line = line_of(addr);
-  const std::uint32_t tag = tag_of(line);
-  return match_lanes(&tags_[set_of(line) * lanes_], lanes_, tag) != 0;
-}
 
 bool SetAssocCache::invalidate_line(std::uint64_t line) {
   const std::uint32_t tag = tag_of(line);

@@ -79,7 +79,11 @@ class SetAssocCache {
   bool access(its::VirtAddr addr);
 
   /// Lookup without side effects.
-  bool probe(its::VirtAddr addr) const;
+  bool probe(its::VirtAddr addr) const {
+    const std::uint64_t line = line_of(addr);
+    const std::uint32_t tag = tag_of(line);
+    return match_lanes(&tags_[set_of(line) * lanes_], lanes_, tag) != 0;
+  }
 
   /// Inserts the line without counting a hit or miss (used by pre-execute /
   /// prefetch warming paths).
@@ -106,6 +110,16 @@ class SetAssocCache {
  private:
   /// Tag of an empty way; no line's tag is all ones (tag_of checks).
   static constexpr std::uint32_t kEmpty = ~0u;
+
+  /// The lanes of a set holding `tag`, as a bitmask.
+  static std::uint32_t match_lanes(const std::uint32_t* set, unsigned lanes,
+                                   std::uint32_t tag) {
+#if defined(__SSE2__)
+    return match_lanes_sse2(set, lanes, tag);
+#else
+    return match_lanes_scalar(set, lanes, tag);
+#endif
+  }
 
   /// Over-aligned storage for the tags: a 16-way set is one host cache line.
   template <class T>

@@ -50,10 +50,6 @@ void CacheHierarchy::warm(its::PhysAddr addr, unsigned size) {
   }
 }
 
-bool CacheHierarchy::probe(its::PhysAddr addr) const {
-  return l1_.probe(addr) || l2_.probe(addr) || llc_.probe(addr);
-}
-
 void CacheHierarchy::invalidate_page(its::PhysAddr page_base) {
   l1_.invalidate_range(page_base, its::kPageSize);
   l2_.invalidate_range(page_base, its::kPageSize);

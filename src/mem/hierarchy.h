@@ -42,7 +42,9 @@ class CacheHierarchy {
   void warm(its::PhysAddr addr, unsigned size);
 
   /// True if `addr`'s line is resident at any level.
-  bool probe(its::PhysAddr addr) const;
+  bool probe(its::PhysAddr addr) const {
+    return l1_.probe(addr) || l2_.probe(addr) || llc_.probe(addr);
+  }
 
   /// Drops all lines of a physical page at every level — called when the
   /// frame is re-assigned to a different virtual page (swap eviction).

@@ -26,42 +26,34 @@ PreexecCache::PreexecCache(const PreexecCacheConfig& cfg) : ways_(cfg.ways) {
     throw std::invalid_argument("PreexecCache set count must be a power of two");
   set_shift_ = static_cast<unsigned>(std::countr_zero(sets));
   set_mask_ = sets - 1;
-  tags_.assign(n, kNoTag);
-  state_.assign(n, LineState{});
+  chunks_ = (cfg.ways + 15) / 16;
+  fps_.assign(sets * chunks_, FpChunk{});
+  lines_.assign(n, Line{});
 }
 
-std::size_t PreexecCache::find(std::uint64_t line) const {
-  const std::size_t base = set_base(line);
+PreexecCache::Line& PreexecCache::alloc(std::uint64_t line) {
+  const std::size_t set = set_of(line);
   const std::uint64_t tag = tag_of(line);
-  const std::uint64_t* t = &tags_[base];
-  for (unsigned w = 0; w < ways_; ++w)
-    if (t[w] == tag) return base + w;
-  return npos;
-}
-
-std::size_t PreexecCache::find_or_alloc(std::uint64_t line) {
-  const std::size_t base = set_base(line);
-  const std::uint64_t tag = tag_of(line);
-  const std::uint64_t* t = &tags_[base];
-  std::size_t victim = npos;
-  for (unsigned w = 0; w < ways_; ++w) {
-    if (t[w] == tag) {
-      state_[base + w].lru = ++tick_;
-      return base + w;
-    }
-    if (t[w] == kNoTag) victim = base + w;  // the last empty way wins
+  std::uint8_t* fps = fps_of(set);
+  Line* row = &lines_[set * ways_];
+  unsigned victim = ways_;
+  for (unsigned g = 0; g < ways_; g += kMatchLanes) {
+    const unsigned real = std::min(ways_ - g, kMatchLanes);  // the rest is padding
+    const std::uint32_t lanes = real == 32 ? ~0u : (1u << real) - 1;
+    const std::uint32_t empty = match_fingerprints(fps + g, (real + 15) & ~15u, 0) & lanes;
+    if (empty != 0) victim = g + static_cast<unsigned>(std::bit_width(empty)) - 1;
   }
-  if (victim == npos) {  // set full: the oldest LRU stamp, lowest way on ties
-    victim = base;
+  if (victim == ways_) {  // set full: the oldest LRU stamp, lowest way on ties
+    victim = 0;
     for (unsigned w = 1; w < ways_; ++w)
-      if (state_[base + w].lru < state_[victim].lru) victim = base + w;
+      if (row[w].lru < row[victim].lru) victim = w;
   }
-  tags_[victim] = tag;
-  state_[victim] = LineState{0, 0, ++tick_};
-  return victim;
+  fps[victim] = fingerprint(tag);
+  row[victim] = Line{tag, 0, 0, ++tick_};
+  return row[victim];
 }
 
-void PreexecCache::store(its::VirtAddr addr, unsigned size, bool invalid) {
+void PreexecCache::store_span(its::VirtAddr addr, unsigned size, bool invalid) {
   if (size == 0) return;  // zero-byte store writes nothing
   ++stats_.stores;
   const its::VirtAddr end = addr + size - 1;
@@ -70,19 +62,11 @@ void PreexecCache::store(its::VirtAddr addr, unsigned size, bool invalid) {
   for (std::uint64_t la = first; la <= last; ++la) {
     const unsigned lo = la == first ? static_cast<unsigned>(addr % kCacheLineSize) : 0;
     const unsigned hi = la == last ? static_cast<unsigned>(end % kCacheLineSize) : 63;
-    const std::uint64_t m = byte_mask(lo, hi);
-    LineState& l = state_[find_or_alloc(la)];
-    l.written |= m;
-    if (invalid) {
-      l.inv |= m;
-      stats_.invalid_bytes_written += static_cast<unsigned>(std::popcount(m));
-    } else {
-      l.inv &= ~m;
-    }
+    write(find_or_alloc(la), byte_mask(lo, hi), hi - lo + 1, invalid);
   }
 }
 
-PxLookup PreexecCache::lookup(its::VirtAddr addr, unsigned size) {
+PxLookup PreexecCache::lookup_span(its::VirtAddr addr, unsigned size) {
   PxLookup r;
   if (size == 0) {  // zero-byte probe: vacuously complete, never found
     ++stats_.load_misses;
@@ -96,16 +80,15 @@ PxLookup PreexecCache::lookup(its::VirtAddr addr, unsigned size) {
     const unsigned lo = la == first ? static_cast<unsigned>(addr % kCacheLineSize) : 0;
     const unsigned hi = la == last ? static_cast<unsigned>(end % kCacheLineSize) : 63;
     const std::uint64_t m = byte_mask(lo, hi);
-    const std::size_t i = find(la);
-    if (i == npos || (state_[i].written & m) == 0) {
+    Line* l = find(la);
+    if (l == nullptr || (l->written & m) == 0) {
       r.complete = false;
       continue;
     }
-    LineState& l = state_[i];
-    l.lru = ++tick_;
+    l->lru = ++tick_;
     r.found = true;
-    if ((l.written & m) != m) r.complete = false;
-    if ((l.inv & m) != 0) r.any_invalid = true;
+    if ((l->written & m) != m) r.complete = false;
+    if ((l->inv & m) != 0) r.any_invalid = true;
   }
   if (r.found)
     ++stats_.load_hits;
@@ -114,14 +97,14 @@ PxLookup PreexecCache::lookup(its::VirtAddr addr, unsigned size) {
   return r;
 }
 
-void PreexecCache::clear() {
-  std::fill(tags_.begin(), tags_.end(), kNoTag);
-  std::fill(state_.begin(), state_.end(), LineState{});
-}
+void PreexecCache::clear() { std::fill(fps_.begin(), fps_.end(), FpChunk{}); }
 
 std::uint64_t PreexecCache::lines_resident() const {
-  return static_cast<std::uint64_t>(
-      std::count_if(tags_.begin(), tags_.end(), [](std::uint64_t t) { return t != kNoTag; }));
+  std::uint64_t n = 0;
+  for (std::size_t set = 0; set <= set_mask_; ++set)
+    n += static_cast<std::uint64_t>(
+        std::count_if(fps_of(set), fps_of(set) + ways_, [](std::uint8_t f) { return f != 0; }));
+  return n;
 }
 
 }  // namespace its::mem

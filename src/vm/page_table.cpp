@@ -8,21 +8,6 @@ namespace its::vm {
 PageTable::PageTable() = default;
 PageTable::~PageTable() = default;
 
-Pte* PageTable::lookup(its::VirtAddr va) {
-  if (!pgd_) return nullptr;
-  Pud* pud = pgd_->t[pgd_index(va)].get();
-  if (!pud) return nullptr;
-  Pmd* pmd = pud->t[pud_index(va)].get();
-  if (!pmd) return nullptr;
-  Pt* pt = pmd->t[pmd_index(va)].get();
-  if (!pt) return nullptr;
-  return &pt->e[pte_index(va)];
-}
-
-const Pte* PageTable::lookup(its::VirtAddr va) const {
-  return const_cast<PageTable*>(this)->lookup(va);
-}
-
 Pte& PageTable::ensure(its::VirtAddr va) {
   if (!pgd_) pgd_ = std::make_unique<Pgd>();
   auto& pud = pgd_->t[pgd_index(va)];

@@ -38,8 +38,19 @@ class PageTable {
 
   /// Full 4-level walk.  Returns nullptr if any intermediate level is
   /// absent (the VA was never populated).
-  Pte* lookup(its::VirtAddr va);
-  const Pte* lookup(its::VirtAddr va) const;
+  Pte* lookup(its::VirtAddr va) {
+    if (!pgd_) return nullptr;
+    Pud* pud = pgd_->t[pgd_index(va)].get();
+    if (!pud) return nullptr;
+    Pmd* pmd = pud->t[pud_index(va)].get();
+    if (!pmd) return nullptr;
+    Pt* pt = pmd->t[pmd_index(va)].get();
+    if (!pt) return nullptr;
+    return &pt->e[pte_index(va)];
+  }
+  const Pte* lookup(its::VirtAddr va) const {
+    return const_cast<PageTable*>(this)->lookup(va);
+  }
 
   /// Walk that allocates missing intermediate tables (page population).
   Pte& ensure(its::VirtAddr va);

@@ -33,6 +33,8 @@
 #include "fault/fault_injector.h"
 #include "fs/workloads.h"
 #include "golden.h"
+#include "obs/event_trace.h"
+#include "obs/invariant_checker.h"
 #include "sched/process.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -135,11 +137,12 @@ SimMetrics run_files(PolicyKind k) {
 /// the `outage` profile and short slices so that they interleave: a dirty
 /// page evicted while the device is offline goes to the pool, and its owner
 /// often wants it back before the device returns.
-SimMetrics run_pool(PolicyKind k) {
+SimMetrics run_pool(PolicyKind k, obs::EventTrace* trace = nullptr) {
   SimConfig sc = paths_config("outage").sim;
   sc.slice_max = 200_us;
   sc.dram_bytes = 124 * its::kPageSize;
   Simulator sim(sc, k);
+  sim.set_trace(trace);
   for (its::Pid pid = 0; pid < 6; ++pid) {
     util::Rng rng(pid + 1, 7);
     auto t = std::make_shared<trace::Trace>("random_store");
@@ -175,7 +178,7 @@ TEST(GoldenRun, PathsMatchCheckedInSnapshot) {
       run_batch3(cluster4, cluster_cfg), run_batch3(polling, polling_cfg),
       run_all_policies(files, run_files),
       run_batch3(outage, paths_config("outage")),
-      run_all_policies(pool, run_pool)};
+      run_all_policies(pool, [](PolicyKind k) { return run_pool(k); })};
 
   // Not vacuous: each scenario reaches the branch it is here for.
   EXPECT_GT(grid[0].by_policy.at(PolicyKind::kSync).minor_faults, 0u);
@@ -192,6 +195,22 @@ TEST(GoldenRun, PathsMatchCheckedInSnapshot) {
   write_metrics_csv(os, grid);
   write_processes_csv(os, grid);
   test::expect_golden("paths_metrics.golden", os.str(), "golden_test");
+}
+
+TEST(GoldenRun, PoolScenarioServesFaultsFromThePool) {
+  // handle_major_fault's fallback-pool hit, which no paper batch reaches,
+  // under both policies whose pool scenario hits: the §4.2.1 partition
+  // holds, and the event checker (pool loads counted against pool_hits
+  // among the rest) accepts the run.
+  for (PolicyKind k : {PolicyKind::kSync, PolicyKind::kSyncPrefetch}) {
+    obs::EventTrace trace;
+    const SimMetrics m = run_pool(k, &trace);
+    EXPECT_GT(m.pool_hits, 0u) << policy_name(k);
+    EXPECT_LE(m.pool_hits + m.pool_drains, m.pool_stores) << policy_name(k);
+    EXPECT_TRUE(m.identity_violations().empty()) << policy_name(k);
+    const obs::CheckResult res = obs::check_invariants(trace, m);
+    EXPECT_TRUE(res.ok()) << policy_name(k) << ": " << res.summary();
+  }
 }
 
 }  // namespace

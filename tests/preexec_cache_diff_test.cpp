@@ -1,16 +1,19 @@
-// Differential test (ctest label `mem`): the split-tag pre-execute cache
-// against a reference model — one array of {tag, valid, written, inv, lru}
-// structs, set and tag found by division, which is the layout the split-tag
-// cache replaced.  A seeded random stream of stores, probes and clears must
-// give the same PxLookup for every probe, the same stats() after every op
-// and the same lines_resident(), on a tiny geometry and on the default
-// 4 MiB one.  That pins which resident line each allocation evicts (the
-// oldest LRU stamp once a set is full) and the LRU touches of probes
-// directly, not only through the goldens.
+// Differential test (ctest label `mem`): the fingerprinted pre-execute
+// cache against a reference model — one array of {tag, valid, written, inv,
+// lru} structs, set and tag found by division and every way's tag compared.
+// A seeded random stream of stores, probes and clears must give the same
+// PxLookup for every probe, the same stats() after every op and the same
+// lines_resident().  That pins which resident line each allocation evicts
+// (the oldest LRU stamp once a set is full) and the LRU touches of probes
+// directly, not only through the goldens.  The streams cover a tiny
+// geometry and the default 4 MiB one; tags that share a fingerprint; sets
+// of 32 ways (two 16-byte fingerprint chunks) and wider; and ranges that
+// cross a line, which take the out-of-line paths.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "mem/preexec_cache.h"
@@ -170,6 +173,37 @@ struct KeySpace {
   }
 };
 
+/// Lines of `hot_sets` sets whose tags share fingerprints: per set,
+/// `groups` fingerprints with `per_group` tags each, all under one pid.  A
+/// probe then usually finds ways whose fingerprint matches but whose tag
+/// does not.
+struct SharedFingerprints {
+  std::vector<std::uint64_t> lines;
+
+  SharedFingerprints(std::uint64_t num_sets, std::uint64_t hot_sets, unsigned groups,
+                     unsigned per_group) {
+    const auto set_bits = static_cast<unsigned>(std::countr_zero(num_sets));
+    for (std::uint64_t h = 0; h < hot_sets; ++h) {
+      const std::uint64_t set = h * (num_sets / hot_sets);
+      std::map<std::uint8_t, std::vector<std::uint64_t>> by_fp;
+      unsigned full = 0;
+      for (std::uint64_t tag = 1; full < groups; ++tag) {
+        std::vector<std::uint64_t>& g = by_fp[PreexecCache::fingerprint(tag)];
+        if (g.size() == per_group) continue;
+        g.push_back((tag << set_bits) | set);
+        if (g.size() == per_group) {
+          lines.insert(lines.end(), g.begin(), g.end());
+          ++full;
+        }
+      }
+    }
+  }
+
+  its::VirtAddr draw(util::Rng& rng) const {
+    return lines[rng.below(lines.size())] * kCacheLineSize + rng.below(kCacheLineSize);
+  }
+};
+
 /// Mostly word-sized accesses, some straddling two lines, some spanning
 /// several, some zero-sized.
 unsigned random_size(util::Rng& rng) {
@@ -180,8 +214,18 @@ unsigned random_size(util::Rng& rng) {
   return static_cast<unsigned>(65 + rng.below(200));
 }
 
-void run_differential(const PreexecCacheConfig& cfg, const KeySpace& keys,
-                      std::uint64_t seed, std::uint64_t ops) {
+/// Sizes for probes and stores at any in-line offset that mostly cross
+/// into the next line or further.
+unsigned crossing_size(util::Rng& rng) {
+  const std::uint64_t pick = rng.below(100);
+  if (pick < 70) return static_cast<unsigned>(33 + rng.below(64));
+  if (pick < 90) return static_cast<unsigned>(97 + rng.below(160));
+  return 1u << rng.below(4);
+}
+
+template <class Keys>
+void run_differential(const PreexecCacheConfig& cfg, const Keys& keys, std::uint64_t seed,
+                      std::uint64_t ops, unsigned (*size_of)(util::Rng&) = random_size) {
   PreexecCache px(cfg);
   RefPreexecCache ref(cfg);
   util::Rng rng(seed);
@@ -189,7 +233,7 @@ void run_differential(const PreexecCacheConfig& cfg, const KeySpace& keys,
 
   for (std::uint64_t op = 0; op < ops; ++op) {
     const its::VirtAddr addr = keys.draw(rng);
-    const unsigned size = random_size(rng);
+    const unsigned size = size_of(rng);
     const std::uint64_t pick = rng.below(1000);
     if (pick < 450) {
       const bool invalid = rng.below(3) == 0;
@@ -219,12 +263,59 @@ void run_differential(const PreexecCacheConfig& cfg, const KeySpace& keys,
 
 TEST(PreexecCacheDiff, TinyGeometryMatchesArrayOfStructsModel) {
   const PreexecCacheConfig tiny{2048, 2, 64};  // 16 sets × 2 ways
-  run_differential(tiny, {16, 16, 6}, 21, 200'000);
+  run_differential(tiny, KeySpace{16, 16, 6}, 21, 200'000);
 }
 
 TEST(PreexecCacheDiff, DefaultGeometryMatchesArrayOfStructsModel) {
   const PreexecCacheConfig def{};  // 4 MiB: 4096 sets × 16 ways
-  run_differential(def, {4096, 8, 24}, 22, 200'000);
+  run_differential(def, KeySpace{4096, 8, 24}, 22, 200'000);
+}
+
+TEST(PreexecCacheDiff, SharedFingerprintsMatchArrayOfStructsModel) {
+  // Per set, 4 fingerprints × 6 tags: 24 lines over 16 ways, so the
+  // candidates of a probe are often the wrong tag, and evictions pick among
+  // ways that look alike.
+  const SharedFingerprints keys(4096, 8, 4, 6);
+  ASSERT_EQ(keys.lines.size(), 8u * 4 * 6);
+  run_differential(PreexecCacheConfig{}, keys, 23, 200'000);
+}
+
+TEST(PreexecCacheDiff, ThirtyTwoWaysMatchArrayOfStructsModel) {
+  const PreexecCacheConfig wide{64_KiB, 32, 64};  // 32 sets × 32 ways: two chunks
+  run_differential(wide, KeySpace{32, 8, 48}, 24, 200'000);
+  run_differential(wide, SharedFingerprints(32, 4, 8, 6), 25, 200'000);
+}
+
+TEST(PreexecCacheDiff, WiderThanThirtyTwoWaysMatchArrayOfStructsModel) {
+  // 48 ways: one full 32-lane match and one 16-lane match with no padding;
+  // 40 ways: padding lanes in the second match.
+  run_differential(PreexecCacheConfig{48_KiB, 48, 64}, KeySpace{16, 8, 72}, 26, 200'000);
+  run_differential(PreexecCacheConfig{40_KiB, 40, 64}, KeySpace{16, 8, 60}, 27, 200'000);
+}
+
+TEST(PreexecCacheDiff, LineCrossingRangesMatchArrayOfStructsModel) {
+  run_differential(PreexecCacheConfig{}, KeySpace{4096, 8, 24}, 28, 200'000, crossing_size);
+  run_differential(PreexecCacheConfig{2048, 2, 64}, KeySpace{16, 16, 6}, 29, 200'000,
+                   crossing_size);
+}
+
+TEST(PreexecCacheDiff, FingerprintScalarFallbackAgreesWithSse2) {
+#if defined(__SSE2__)
+  alignas(16) std::uint8_t fps[32];
+  const std::uint8_t pool[] = {0, 1, 0x7f, 0x80, 0xfe, 0xff};
+  util::Rng rng(62);
+  for (int trial = 0; trial < 20'000; ++trial) {
+    // Padding lanes are 0, like an empty way; they are compared too.
+    const unsigned ways = 1 + static_cast<unsigned>(rng.below(32));
+    for (unsigned w = 0; w < 32; ++w) fps[w] = w < ways ? pool[rng.below(6)] : 0;
+    const std::uint8_t fp = pool[rng.below(6)];
+    for (unsigned lanes = 16; lanes <= 32; lanes += 16)
+      ASSERT_EQ(match_fingerprints_sse2(fps, lanes, fp), match_fingerprints_scalar(fps, lanes, fp))
+          << "trial " << trial << " lanes " << lanes;
+  }
+#else
+  GTEST_SKIP() << "no SSE2 on this target";
+#endif
 }
 
 }  // namespace

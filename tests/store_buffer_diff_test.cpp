@@ -59,13 +59,15 @@ class RefStoreBuffer {
   std::deque<SbEntry> entries_;
 };
 
+/// Lines this far apart share a filter bucket.
+constexpr its::VirtAddr kBucketStride = StoreBuffer::kFilterBuckets * kCacheLineSize;
+
 /// Random keys clustered so that entries and probes collide often: a few
 /// pids, a 1 KiB hot window, and far copies of it offset by multiples of
-/// 32 KiB (= 512 lines, the filter's bucket count, so their lines share
-/// buckets with the hot window's).
+/// kBucketStride (so their lines share buckets with the hot window's).
 its::VirtAddr random_key(util::Rng& rng) {
   const auto pid = static_cast<its::Pid>(1 + rng.below(3));
-  const its::VirtAddr alias = rng.below(4) * 32_KiB;
+  const its::VirtAddr alias = rng.below(4) * kBucketStride;
   return its::pid_key(pid, 0x10000 + alias + rng.below(1024));
 }
 
@@ -160,9 +162,51 @@ TEST(StoreBufferDiff, FilterNeverHidesAnOverlap) {
   EXPECT_TRUE(sb.lookup(0x303C, 2).found);
   EXPECT_FALSE(sb.lookup(0x3048, 8).found);
 
-  const its::VirtAddr alias = 0x3040 + 32_KiB;  // same bucket, other line
+  const its::VirtAddr alias = 0x3040 + kBucketStride;  // same bucket, other line
   EXPECT_FALSE(sb.lookup(alias, 8).found);
   EXPECT_FALSE(sb.lookup(its::pid_key(2, 0x3040), 8).found);
+}
+
+TEST(StoreBufferDiff, FilterNeverHidesAnOverlapAtTheBucketStride) {
+  // Stores exactly kFilterBuckets lines apart share every bucket, so the
+  // filter counts several entries per bucket; retiring one must leave the
+  // others visible, and a probe of one must find it and not its alias.
+  static_assert(StoreBuffer::kFilterBuckets == 4096);
+  StoreBuffer sb(4);
+  RefStoreBuffer ref(4);
+  const its::VirtAddr base = 0x40000;
+  const std::vector<SbEntry> stores = {
+      {base + 8, 8, false},
+      {base + kBucketStride + 16, 8, true},
+      {base + 2 * kBucketStride + 0x38, 16, false},  // straddles two buckets
+      {base + 3 * kBucketStride + 0x3c, 8, true},    // straddles the same two
+      {base + 4 * kBucketStride + 0x30, 32, false},  // retires the first
+      {base + 5 * kBucketStride + 0x7c, 8, true},    // the next two buckets
+  };
+  std::vector<its::VirtAddr> probes;
+  for (its::VirtAddr k = 0; k < 6; ++k)
+    for (its::VirtAddr off : {0x0u, 0x8u, 0x10u, 0x38u, 0x3cu, 0x40u, 0x44u, 0x78u, 0x80u})
+      probes.push_back(base + k * kBucketStride + off);
+  std::uint64_t found = 0;
+  std::uint64_t op = 0;
+  for (const SbEntry& e : stores) {
+    const std::optional<SbEntry> got = sb.push(e);
+    const std::optional<SbEntry> want = ref.push(e);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (want) {
+      ASSERT_EQ(got->addr, want->addr);
+    }
+    for (its::VirtAddr p : probes) {
+      for (const std::uint16_t size : {std::uint16_t{1}, std::uint16_t{4}, std::uint16_t{8},
+                                       std::uint16_t{16}}) {
+        const SbHit want_hit = ref.lookup(p, size);
+        ASSERT_NO_FATAL_FAILURE(expect_same_hit(sb.lookup(p, size), want_hit, op++));
+        found += want_hit.found ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+  EXPECT_LT(found, op);
 }
 
 }  // namespace
